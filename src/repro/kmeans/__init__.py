@@ -18,11 +18,10 @@ from repro.kmeans.init import (
 )
 from repro.kmeans.cpu import kmeans_cpu
 from repro.kmeans.gpu import kmeans_device
-from repro.kmeans.multi_gpu import MultiDeviceTimings, kmeans_multi_device
+from repro.kmeans.multi_gpu import MultiDeviceTimings
 
 __all__ = [
     "MultiDeviceTimings",
-    "kmeans_multi_device",
     "KMeansResult",
     "inertia",
     "relabel_empty_clusters",

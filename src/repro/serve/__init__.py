@@ -3,20 +3,14 @@
 A replay-driven serving layer over the spectral clustering pipeline:
 bounded admission, micro-batching of fingerprint-compatible requests,
 an LRU embedding cache with bit-identical hits (optionally spilled to an
-on-disk cross-process store), speculative batch formation driven by an
-online arrival predictor, a predict fast lane that serves out-of-sample
+on-disk cross-process store), a predict fast lane that serves out-of-sample
 requests from cached fitted models under deadline/priority dispatch with
 EDF preemption at stage boundaries, and a multi-stream / multi-device
 scheduler that charges queueing and overlap to the simulated clock.  See
 ``docs/serving.md`` for the model.
 """
 
-from repro.serve.batcher import (
-    ArrivalPredictor,
-    Batch,
-    BatcherStats,
-    MicroBatcher,
-)
+from repro.serve.batcher import Batch, BatcherStats, MicroBatcher
 from repro.serve.cache import CacheStats, EmbeddingCache
 from repro.serve.fingerprint import (
     embedding_key,
@@ -68,7 +62,6 @@ from repro.serve.traceio import (
 
 __all__ = [
     "AdmissionQueue",
-    "ArrivalPredictor",
     "Batch",
     "BatcherStats",
     "CacheStats",

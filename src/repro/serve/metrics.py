@@ -169,15 +169,6 @@ class ServiceReport:
                 f"{'  ctx switch (sim s)':<28}"
                 f"{self.scheduler.get('ctx_switch_s', 0.0):>16.6f}",
             ])
-        if self.batches.get("spec_holds"):
-            lines.extend([
-                f"{'speculative holds':<28}"
-                f"{self.batches.get('spec_holds', 0):>16}",
-                f"{'  hits':<28}{self.batches.get('spec_hits', 0):>16}",
-                f"{'  misses':<28}{self.batches.get('spec_misses', 0):>16}",
-                f"{'  held (sim s)':<28}"
-                f"{self.batches.get('spec_hold_s', 0.0):>16.4f}",
-            ])
         if self.cache.get("disk_hits") or self.cache.get("disk_writes"):
             lines.extend([
                 f"{'cache disk hits':<28}{self.cache.get('disk_hits', 0):>16}",
@@ -355,8 +346,8 @@ def _merge_counts(dicts) -> dict:
 def merge_service_reports(reports) -> ServiceReport:
     """Merge several :class:`ServiceReport` into one summary.
 
-    Counts — requests, deadline misses, preemptions, speculation hits,
-    cache/disk traffic — **sum**, so a fleet of serve lanes (or a
+    Counts — requests, deadline misses, preemptions, cache/disk
+    traffic — **sum**, so a fleet of serve lanes (or a
     restarted process pair) reports one consistent total instead of
     whichever scheduler's counter a caller remembered to read.  Derived
     ratios (hit rate, mean batch size) are recomputed from the merged

@@ -93,9 +93,6 @@ class ServiceConfig:
     preemption: bool = True
     #: simulated cost of one context save / restore on a preemption split
     ctx_switch_s: float = DEFAULT_CTX_SWITCH_S
-    #: max simulated seconds to hold an under-full batch open when the
-    #: arrival predictor expects a compatible request; 0 disables
-    speculation_window: float = 0.0
     #: directory for the persistent cache tier; None keeps the cache
     #: in-process only
     cache_dir: str | None = None
@@ -161,9 +158,6 @@ class ClusterService:
         #: response finalizers for units whose placement may still be
         #: rewritten by a preemption; run once the schedule is final
         self._deferred: list = []
-        #: active speculative hold: (operator key, compatible count at
-        #: hold start, hold deadline on the simulated clock)
-        self._hold: tuple | None = None
 
     # ------------------------------------------------------------------
     # workload resolution
@@ -229,62 +223,6 @@ class ClusterService:
         return wrapped
 
     # ------------------------------------------------------------------
-    # speculative batch formation
-    # ------------------------------------------------------------------
-    def _spec_hold(self, clock: float, next_arrival: float | None):
-        """Decide whether to hold the head batch open; returns the clock
-        to advance to while holding, or None to dispatch now.
-
-        Strictly causal: the decision reads only the arrival predictor's
-        history (admitted arrivals so far), never the future trace.
-        Advancing the clock to ``min(hold deadline, next arrival)`` is
-        ordinary discrete-event stepping — the arrival merely ends the
-        wait early, it does not inform the decision to wait.
-        """
-        window = self.config.speculation_window
-        stats = self.batcher.stats
-        if window <= 0.0 or self.batcher.max_batch <= 1:
-            return None
-        key, count = self.batcher.compatible_queued(self.queue)
-        if self._hold is not None:
-            hkey, hcount, hdeadline = self._hold
-            if hkey != key:  # defensive: the held head was dispatched
-                self._hold = None
-                stats.spec_misses += 1
-            elif count > hcount:
-                # the prediction came true: a compatible request joined
-                self._hold = None
-                stats.spec_hits += 1
-            elif clock >= hdeadline:
-                # window expired with no compatible arrival
-                self._hold = None
-                stats.spec_misses += 1
-            else:
-                target = hdeadline
-                if next_arrival is not None:
-                    target = min(target, next_arrival)
-                if target <= clock:
-                    return None
-                stats.spec_hold_s += target - clock
-                return target
-        if count >= self.batcher.max_batch:
-            return None  # batch already full: nothing to speculate for
-        predicted = self.batcher.predictor.predict_next(key, clock)
-        if predicted is None or predicted > clock + window:
-            return None
-        stats.spec_holds += 1
-        self._hold = (key, count, clock + window)
-        target = clock + window
-        if next_arrival is not None:
-            target = min(target, next_arrival)
-        if target <= clock:
-            self._hold = None
-            stats.spec_holds -= 1
-            return None
-        stats.spec_hold_s += target - clock
-        return target
-
-    # ------------------------------------------------------------------
     # the replay loop
     # ------------------------------------------------------------------
     def process(
@@ -330,9 +268,9 @@ class ClusterService:
                 req = pending[i]
                 i += 1
                 try:
+                    req.estimator()  # reject bad estimator parameters
                     self._fingerprint(req)  # resolve + fingerprint up front
                     self.queue.submit(req)
-                    self.batcher.observe(req)
                 except AdmissionError as err:
                     responses[req.request_id] = ClusterResponse(
                         request_id=req.request_id,
@@ -362,13 +300,6 @@ class ClusterService:
                     clock = max(clock, next_arrival)
                     continue
                 break
-            held = self._spec_hold(clock, next_arrival)
-            if held is not None:
-                # holding the head batch open for a predicted compatible
-                # arrival: advance the clock (to the arrival or the hold
-                # deadline, whichever first) and re-evaluate
-                clock = held
-                continue
             batch = self.batcher.form(self.queue)
             self._serve_batch(batch, clock, responses)
             # dispatch the next batch as soon as any lane frees up (or

@@ -17,20 +17,58 @@ import json
 from repro.errors import TraceFormatError
 from repro.serve.request import ClusterRequest, PredictRequest
 
-#: JSONL fields accepted for a trace request (chaos is a seed, not a plan)
-_FIELDS = (
-    "request_id", "arrival", "dataset", "scale", "data_seed",
-    "n_clusters", "similarity", "sigma", "operator", "objective",
-    "m", "eig_tol", "eig_maxiter", "precision", "embedding",
-    "kmeans_init", "kmeans_max_iter",
-    "normalize_rows", "handle_isolated", "seed", "chaos", "no_resilience",
-)
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
-#: JSONL fields accepted for a predict trace entry
-_PREDICT_FIELDS = (
-    "kind", "request_id", "arrival", "fit", "n_new", "new_seed",
-    "deadline", "priority", "chaos", "no_resilience",
-)
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+#: JSON type checks by name: (predicate, what the error says was expected)
+_TYPES = {
+    "int": (_is_int, "an integer"),
+    "number": (_is_number, "a number"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "bool": (lambda v: isinstance(v, bool), "a boolean"),
+    "object": (lambda v: isinstance(v, dict), "an object"),
+}
+
+#: JSONL fields accepted for a trace request and their JSON types; a
+#: trailing ``?`` also admits null (chaos is a seed, not a plan)
+_FIELDS = {
+    "request_id": "str", "arrival": "number", "dataset": "str",
+    "scale": "number", "data_seed": "int",
+    "n_clusters": "int", "similarity": "str", "sigma": "number",
+    "operator": "str", "objective": "str",
+    "m": "int?", "eig_tol": "number", "eig_maxiter": "int?",
+    "precision": "str", "embedding": "str",
+    "kmeans_init": "str", "kmeans_max_iter": "int",
+    "normalize_rows": "bool", "handle_isolated": "str", "seed": "int?",
+    "chaos": "int?", "no_resilience": "bool",
+}
+
+#: JSONL fields accepted for a predict trace entry and their JSON types
+_PREDICT_FIELDS = {
+    "kind": "str", "request_id": "str", "arrival": "number",
+    "fit": "object", "n_new": "int", "new_seed": "int",
+    "deadline": "number?", "priority": "int", "chaos": "int?",
+    "no_resilience": "bool",
+}
+
+
+def _check_types(obj: dict, fields: dict, what: str, where: str) -> None:
+    """Reject a field whose JSON value does not have its declared type."""
+    for name, value in obj.items():
+        kind = fields[name]
+        if value is None and kind.endswith("?"):
+            continue
+        ok, expected = _TYPES[kind.rstrip("?")]
+        if not ok(value):
+            raise TraceFormatError(
+                f"{what} {obj.get('request_id')!r}: field {name!r} must be "
+                f"{expected}, got {value!r}{where}"
+            )
 
 
 def request_to_dict(req: ClusterRequest) -> dict:
@@ -94,24 +132,15 @@ def predict_from_dict(obj: dict, lineno: int | None = None) -> PredictRequest:
         )
     if "request_id" not in obj:
         raise TraceFormatError(f"predict trace entry missing request_id{where}")
-    fit_obj = obj.get("fit")
-    if not isinstance(fit_obj, dict):
+    if "fit" not in obj:
         raise TraceFormatError(
             f"predict trace entry {obj['request_id']!r} missing its fit "
             f"spec{where}"
         )
-    chaos = obj.get("chaos")
-    if chaos is not None and not isinstance(chaos, int):
-        raise TraceFormatError(
-            f"predict trace entry {obj['request_id']!r}: chaos must be an "
-            f"integer seed{where}"
-        )
+    _check_types(obj, _PREDICT_FIELDS, "predict trace entry", where)
     fields = {k: v for k, v in obj.items() if k not in ("kind", "fit")}
-    fields["fit"] = request_from_dict(fit_obj, lineno=lineno)
-    try:
-        return PredictRequest(**fields)
-    except TypeError as err:
-        raise TraceFormatError(f"bad predict trace entry{where}: {err}") from err
+    fields["fit"] = request_from_dict(obj["fit"], lineno=lineno)
+    return PredictRequest(**fields)
 
 
 def request_from_dict(obj: dict, lineno: int | None = None) -> ClusterRequest:
@@ -126,20 +155,12 @@ def request_from_dict(obj: dict, lineno: int | None = None) -> ClusterRequest:
         raise TraceFormatError(f"unknown trace fields {unknown}{where}")
     if "request_id" not in obj:
         raise TraceFormatError(f"trace entry missing request_id{where}")
+    _check_types(obj, _FIELDS, "trace entry", where)
     if "dataset" not in obj:
         raise TraceFormatError(
             f"trace entry {obj['request_id']!r} missing dataset{where}"
         )
-    chaos = obj.get("chaos")
-    if chaos is not None and not isinstance(chaos, int):
-        raise TraceFormatError(
-            f"trace entry {obj['request_id']!r}: chaos must be an integer "
-            f"seed{where}"
-        )
-    try:
-        return ClusterRequest(**obj)
-    except TypeError as err:
-        raise TraceFormatError(f"bad trace entry{where}: {err}") from err
+    return ClusterRequest(**obj)
 
 
 def write_trace(requests, path) -> None:

@@ -109,6 +109,20 @@ class TestServiceCorrectness:
         with pytest.raises(ServiceError):
             _service().process([a, b])
 
+    @pytest.mark.parametrize("bad", [
+        {"n_clusters": 1}, {"precision": "fp8"},
+    ])
+    def test_bad_estimator_params_fail_alone(self, make_request, bad):
+        """A request the estimator rejects fails at admission with a typed
+        error; the rest of the replay is still served."""
+        good = make_request(arrival=0.0)
+        broken = make_request(arrival=0.0, **bad)
+        responses, report = _service().process([broken, good])
+        assert responses[0].status == "failed"
+        assert responses[0].error.startswith("ClusteringError:")
+        assert responses[1].ok
+        assert (report.n_ok, report.n_failed) == (1, 1)
+
     def test_point_input_requests(self, blobs):
         X, _, k = blobs
         n = X.shape[0]

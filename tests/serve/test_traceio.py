@@ -62,6 +62,58 @@ class TestTraceParsing:
                 {"request_id": "a", "dataset": "syn200", "chaos": "boom"}
             )
 
+    @pytest.mark.parametrize("field, value", [
+        ("scale", "x"),
+        ("n_clusters", "3"),
+        ("data_seed", "z"),
+        ("arrival", None),
+        ("n_clusters", 2.5),
+        ("n_clusters", True),
+        ("normalize_rows", 1),
+        ("similarity", 7),
+        ("request_id", 7),
+        ("m", "auto"),
+    ])
+    def test_wrong_field_type_rejected(self, field, value):
+        obj = {"request_id": "a", "dataset": "syn200", field: value}
+        with pytest.raises(TraceFormatError, match=rf"{field}.*\(line 4\)"):
+            request_from_dict(obj, lineno=4)
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_new", "8"),
+        ("new_seed", 1.5),
+        ("deadline", "soon"),
+        ("priority", False),
+        ("fit", "syn200"),
+    ])
+    def test_wrong_predict_field_type_rejected(self, field, value):
+        obj = {
+            "kind": "predict", "request_id": "p",
+            "fit": {"request_id": "f", "dataset": "syn200"}, field: value,
+        }
+        with pytest.raises(TraceFormatError, match=rf"{field}.*\(line 4\)"):
+            request_from_dict(obj, lineno=4)
+
+    def test_wrong_type_in_nested_fit_rejected(self):
+        obj = {
+            "kind": "predict", "request_id": "p",
+            "fit": {"request_id": "f", "dataset": "syn200", "scale": "x"},
+        }
+        with pytest.raises(TraceFormatError, match="scale"):
+            request_from_dict(obj)
+
+    def test_nullable_fields_accept_null(self):
+        req = request_from_dict({
+            "request_id": "a", "dataset": "syn200",
+            "m": None, "seed": None, "chaos": None, "eig_maxiter": None,
+        })
+        assert req.m is None and req.seed is None
+        pred = request_from_dict({
+            "kind": "predict", "request_id": "p", "deadline": None,
+            "fit": {"request_id": "f", "dataset": "syn200"},
+        })
+        assert pred.deadline is None
+
     def test_invalid_json_line_reports_lineno(self, tmp_path):
         path = tmp_path / "bad.jsonl"
         path.write_text('{"request_id": "a", "dataset": "syn200"}\n{oops\n')

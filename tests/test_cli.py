@@ -121,11 +121,21 @@ class TestCLIServe:
         payload = self._serve_json(tmp_path, ["--no-preemption"])
         assert payload["scheduler"]["preemptions"] == 0
 
-    def test_serve_speculation_window_flag(self, tmp_path):
-        payload = self._serve_json(
-            tmp_path, ["--speculation-window", "0.5"]
-        )
-        assert "spec_holds" in payload["batches"]
+    @pytest.mark.parametrize("field, value", [
+        ("scale", "x"), ("n_clusters", "3"), ("data_seed", "z"),
+    ])
+    def test_serve_malformed_trace_field(self, tmp_path, capsys, field, value):
+        import json
+
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text(json.dumps(
+            {"request_id": "a", "dataset": "syn200", field: value}
+        ) + "\n")
+        assert main(["serve", "--trace", str(trace)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: TraceFormatError:")
+        assert field in err and "line 1" in err
+        assert err.count("\n") == 1
 
     def test_serve_cache_dir_warm_restart(self, tmp_path):
         """Two processes over one trace: the second warms from disk and

@@ -2,6 +2,7 @@
 design documents promise must exist on disk."""
 
 import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -77,3 +78,23 @@ class TestReadme:
 
     def test_install_instructions_offline_safe(self):
         assert "setup.py develop" in _text("README.md")
+
+
+class TestCliExamples:
+    def test_documented_commands_parse(self):
+        """Every ``python -m repro ...`` command in README.md and docs/
+        parses with the real CLI parser (``\\``-continued lines joined)."""
+        from repro.cli import build_parser
+
+        parser = build_parser()
+        commands = []
+        for path in [ROOT / "README.md", *sorted((ROOT / "docs").glob("*.md"))]:
+            text = path.read_text(encoding="utf-8").replace("\\\n", " ")
+            for m in re.finditer(r"python -m repro(?![\w.])([^`\n]*)", text):
+                commands.append((path.name, m.group(1)))
+        assert commands, "no documented CLI commands found"
+        for name, args in commands:
+            try:
+                parser.parse_args(shlex.split(args, comments=True))
+            except SystemExit:
+                pytest.fail(f"{name}: `python -m repro{args}` does not parse")
