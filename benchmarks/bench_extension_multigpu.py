@@ -28,11 +28,8 @@ def workload(rng=None):
 
 
 def _composed(n_dev, V, k, C0, max_iter):
-    b = partition_bounds(len(V), n_dev)
-    row_sets = [np.arange(b[j], b[j + 1], dtype=np.int64)
-                for j in range(n_dev)]
     res, tm, _ = kmeans_composed(
-        _device_group(n_dev), row_sets, V, k,
+        _device_group(n_dev), partition_bounds(len(V), n_dev), V, k,
         initial_centroids=C0, max_iter=max_iter,
     )
     return res, tm

@@ -293,10 +293,9 @@ def build_parser() -> argparse.ArgumentParser:
                        "many simulated devices with one row partition and "
                        "resident shards; results are bit-identical")
     run_p.add_argument("--partition-mode", default="nnz",
-                       choices=("rows", "nnz", "mincut"),
-                       help="row partitioner for multi-device runs: uniform "
-                       "row split, nnz-balanced blocks (default), or "
-                       "BFS-grown min-cut (minimizes halo traffic)")
+                       choices=("rows", "nnz"),
+                       help="contiguous row blocks for multi-device runs, "
+                       "balanced by row count or by nnz (default)")
     run_p.add_argument("--precision", default="fp64",
                        choices=("fp64", "fp32", "fp16"),
                        help="eigensolver storage precision; reduced modes "

@@ -332,7 +332,6 @@ def compressive_embedding(
 
     all_devices = [device]
     bounds: np.ndarray | None = None
-    row_sets: list[np.ndarray] | None = None
     row_counts: tuple[int, ...] = ()
     if n_devices > 1:
         topo = paper_topology(n_devices)
@@ -343,10 +342,8 @@ def compressive_embedding(
             )
             for dd in range(1, n_devices)
         ]
-        row_sets, _, bounds = partition_rows(
-            A.indptr.data, A.indices.data, n_devices, mode=partition_mode
-        )
-        row_counts = tuple(int(r.size) for r in row_sets)
+        bounds = partition_rows(A.indptr.data, n_devices, mode=partition_mode)
+        row_counts = tuple(int(c) for c in np.diff(bounds))
         device.device_index = 0
         device.topology = topo
         device.transfer_cost = TransferCostModel(device.pcie, topo)
@@ -491,7 +488,7 @@ def compressive_embedding(
                 if n_devices > 1:
                     part = partition_csr(
                         A_solve, all_devices, rows_cache=rows_cache,
-                        mode=partition_mode, row_sets=row_sets,
+                        mode=partition_mode, bounds=bounds,
                     )
                     shard_upload_total += part.shard_upload_bytes
                     P = part
@@ -582,11 +579,7 @@ def compressive_embedding(
                     partition_info = {
                         "mode": partition_mode,
                         "row_counts": list(row_counts),
-                        **(
-                            {"bounds": [int(b) for b in bounds]}
-                            if bounds is not None
-                            else {}
-                        ),
+                        "bounds": [int(b) for b in bounds],
                         "halo_counts": list(part.halo_counts),
                         "halo_pairs": part.halo_pairs,
                         "shard_upload_bytes": shard_upload_total,

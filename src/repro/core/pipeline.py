@@ -185,16 +185,12 @@ class _ComposedPlan:
         ]
         self.plan = partition_csr(dcsr, self.devices, mode=self.mode)
 
-    @property
-    def row_sets(self):
-        return [shard.rows for shard in self.plan.shards]
-
     def summary(self) -> dict:
         """Composition evidence surfaced on ``result.eig_stats``."""
         out = {
             "n_devices": self.n_devices,
             "partition_mode": self.mode,
-            "row_counts": [int(r.size) for r in self.row_sets],
+            "row_counts": list(self.plan.row_counts),
             "step_halo_bytes": int(self.plan.step_halo_bytes()),
         }
         if self.kmeans_timings is not None:
@@ -292,9 +288,7 @@ class SpectralClustering:
         Row partitioner for every multi-device path (``eig_devices`` or
         ``fit_devices`` > 1): 'nnz' (default) balances nonzeros per
         device with contiguous row blocks; 'rows' is the uniform
-        row-count split (the pre-topology behavior); 'mincut' grows
-        BFS clusters to minimize cross-device halo traffic (row sets may
-        be non-contiguous).  All modes are bit-identical; only charged
+        row-count split.  Both are bit-identical; only charged
         transfer/kernel time changes.
     precision:
         Storage precision for the eigensolver's operator values and
@@ -1089,8 +1083,7 @@ class SpectralClustering:
             # block stays resident for the composed k-means stage
             tl = device.timeline
             t_s = tl.clock.now
-            for j, rows in enumerate(composed.row_sets):
-                nd = int(rows.size)
+            for j, nd in enumerate(composed.plan.row_counts):
                 dev = composed.devices[j]
                 dt = dev.cost.kernel_time(
                     2.0 * nd * self.n_clusters,
@@ -1159,7 +1152,7 @@ class SpectralClustering:
 
         def km_gpu():
             res, tim, km_plan = kmeans_composed(
-                composed.devices, composed.row_sets, embedding,
+                composed.devices, composed.plan.bounds, embedding,
                 self.n_clusters, init=self.kmeans_init,
                 max_iter=self.kmeans_max_iter, seed=self.seed,
                 resident=True,

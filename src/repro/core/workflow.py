@@ -471,11 +471,9 @@ def hybrid_eigensolver(
         Power-iteration count for ``embedding="power"``
         (default ``max(8, ceil(2·log2 n))``).
     partition_mode:
-        Row-partitioning strategy for ``n_devices > 1``: ``"nnz"``
-        (default) balances nonzeros over contiguous blocks, ``"rows"``
-        is the PR-5 uniform row split, ``"mincut"`` grows connected,
-        nnz-balanced row sets that minimize the per-step halo.  Every
-        mode drives the same substrate arithmetic — spectra stay
+        Contiguous row-block split for ``n_devices > 1``: ``"nnz"``
+        (default) balances nonzeros per block, ``"rows"`` balances row
+        counts.  Both drive the same substrate arithmetic — spectra stay
         bit-identical; only halo bytes and charged time change.
     plan:
         A prebuilt :class:`~repro.cusparse.partition.PartitionedCSR` to
@@ -589,7 +587,6 @@ def hybrid_eigensolver(
     # ---- multi-device context (shared timeline, own allocators/streams) --
     all_devices = [device]
     bounds: np.ndarray | None = None
-    row_sets: list[np.ndarray] | None = None
     row_counts: tuple[int, ...] = ()
     if n_devices > 1:
         topo = topology if topology is not None else paper_topology(n_devices)
@@ -597,7 +594,6 @@ def hybrid_eigensolver(
             # composed fit: the device group and row layout come from the
             # prebuilt plan; the shards stay resident across stages
             all_devices = [s.device for s in plan.shards]
-            row_sets = [s.rows for s in plan.shards]
             bounds = plan.bounds
             partition_mode = plan.mode
         else:
@@ -608,15 +604,15 @@ def hybrid_eigensolver(
                 )
                 for d in range(1, n_devices)
             ]
-            row_sets, _, bounds = partition_rows(
-                A.indptr.data, A.indices.data, n_devices, mode=partition_mode
+            bounds = partition_rows(
+                A.indptr.data, n_devices, mode=partition_mode
             )
         # the primary joins the peer group at slot 0: halo copies landing
         # on it (and on the peers) price per (src, dst) pair
         device.device_index = 0
         device.topology = topo
         device.transfer_cost = TransferCostModel(device.pcie, topo)
-        row_counts = tuple(int(r.size) for r in row_sets)
+        row_counts = tuple(int(c) for c in np.diff(bounds))
     copy_streams = [
         Stream(dev, name=f"dev{d}/copyEngine")
         for d, dev in enumerate(all_devices)
@@ -750,7 +746,7 @@ def hybrid_eigensolver(
                     else:
                         part = partition_csr(
                             A_solve, all_devices, rows_cache=rows_cache,
-                            mode=partition_mode, row_sets=row_sets,
+                            mode=partition_mode, bounds=bounds,
                         )
                     shard_upload_total += part.shard_upload_bytes
                     ledger_multi = TransferLedger(
@@ -790,7 +786,7 @@ def hybrid_eigensolver(
                             # values (identity for fp64 — bit-identical)
                             xq = quantize_roundtrip(xh, store_dtype)
                             for d, xd in enumerate(xs):
-                                xd.data[...] = xq[row_sets[d]]
+                                xd.data[...] = xq[bounds[d]:bounds[d + 1]]
                             yh = with_retry(
                                 lambda: spmv_partitioned(P, xq),
                                 device, policy,
@@ -798,7 +794,7 @@ def hybrid_eigensolver(
                             )
                             yq = quantize_roundtrip(yh, store_dtype)
                             for d, yd in enumerate(ys):
-                                yd.data[...] = yq[row_sets[d]]
+                                yd.data[...] = yq[bounds[d]:bounds[d + 1]]
                             prob.put_vector(yq)
                             n_matvec += 1
                             device.note_elided_transfer(
@@ -981,7 +977,7 @@ def hybrid_eigensolver(
                         else:
                             part = partition_csr(
                                 A_solve, all_devices, rows_cache=rows_cache,
-                                mode=partition_mode, row_sets=row_sets,
+                                mode=partition_mode, bounds=bounds,
                             )
                         shard_upload_total += part.shard_upload_bytes
                         ledger_multi = TransferLedger(
@@ -1394,11 +1390,7 @@ def hybrid_eigensolver(
             {
                 "mode": partition_mode,
                 "row_counts": list(row_counts),
-                **(
-                    {"bounds": [int(b) for b in bounds]}
-                    if bounds is not None
-                    else {}
-                ),
+                "bounds": [int(b) for b in bounds],
                 "halo_counts": list(ledger_multi.halo_counts),
                 "halo_pairs": ledger_multi.halo_pairs,
                 "step_halo_bytes": ledger_multi.step_halo_bytes(),

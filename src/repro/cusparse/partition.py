@@ -3,15 +3,14 @@
 The multi-GPU eigensolver follows the classic distributed-memory Lanczos
 recipe (1-D row partitioning with communication/computation overlap):
 
-* the matrix is split into **row sets**, one per device — contiguous
-  blocks balanced by row count (``mode="rows"``), contiguous blocks
-  balanced by nnz (``mode="nnz"``, the default: row-count splits starve
-  or overload devices on skewed degree distributions), or graph-aware
-  sets grown by a greedy BFS/min-cut heuristic (``mode="mincut"``) that
-  shrink the halo itself;
-* on each device the set's columns are split into a **local** part
-  (columns owned by this device — the x entries are already resident)
-  and a **halo** part (columns owned by peers);
+* the matrix is split into contiguous **row blocks**, one per device,
+  given by a ``bounds`` vector (device ``d`` owns rows
+  ``bounds[d]:bounds[d+1]``) balanced by row count (``mode="rows"``) or
+  by nnz (``mode="nnz"``, the default: row-count splits starve or
+  overload devices on skewed degree distributions);
+* on each device the block's columns are split into a **local** part
+  (columns inside the block — the x entries are already resident) and
+  a **halo** part (columns owned by peers);
 * per SpMV, the local kernel launches immediately while the halo
   segments of the iteration vector travel device-to-device over the
   modeled bus (``cudaMemcpyPeerAsync`` on a dedicated copy stream per
@@ -28,9 +27,7 @@ CSR-order substrate triple — the identical ``np.bincount`` that
 :func:`~repro.cusparse.spmv.csrmv` performs on one device.  Partitioning
 changes only the *charged time* (and where the bytes flow), never a
 float, which is what pins multi-device spectra to the single-device
-path bit-for-bit.  That is also what makes non-contiguous min-cut row
-sets cheap to support: they redistribute charged work and halo bytes,
-while the arithmetic stays the one host-side reference reduction.
+path bit-for-bit.
 """
 
 from __future__ import annotations
@@ -49,7 +46,7 @@ from repro.precision import as_f64, kernel_letter
 
 
 #: supported row-partitioning strategies (see :func:`partition_rows`)
-PARTITION_MODES = ("rows", "nnz", "mincut")
+PARTITION_MODES = ("rows", "nnz")
 
 
 def _check_split(n: int, n_devices: int) -> None:
@@ -99,155 +96,47 @@ def partition_bounds_nnz(indptr: np.ndarray, n_devices: int) -> np.ndarray:
     return bounds
 
 
-def partition_owner_mincut(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    n_devices: int,
-    sweeps: int = 3,
-    balance_slack: float = 0.10,
-) -> np.ndarray:
-    """Greedy min-cut row partitioning: BFS-grow + boundary refinement.
-
-    Returns ``owner`` (device id per row).  Two phases, both heuristics in
-    the lineage of lightweight streaming partitioners:
-
-    1. **BFS-grow**: each device grows a connected region from an
-       unassigned seed, admitting neighbors breadth-first until its nnz
-       budget (``total/p``) fills; disconnected leftovers seed fresh BFS
-       waves.  Connected regions keep most edges internal, which is the
-       whole halo win.
-    2. **Refinement sweeps**: every boundary row computes its connectivity
-       to each part; rows move to their best-connected part in decreasing
-       gain order while parts stay within ``balance_slack`` of the nnz
-       ideal — one-sided Fiduccia–Mattheyses without the bucket queues.
-
-    Row sets are generally **non-contiguous**; downstream this is free
-    because the SpMV numerics run on the canonical host-side triple and
-    only charged time follows the partition.
-    """
-    n = len(indptr) - 1
-    _check_split(n, n_devices)
-    p = n_devices
-    owner = np.zeros(n, dtype=np.int64)
-    if p == 1:
-        return owner
-    row_nnz = np.diff(indptr).astype(np.int64)
-    # weight empty rows as 1 so budgets always fill and every part is
-    # non-empty even on diagonal-free corners
-    weight = np.maximum(row_nnz, 1)
-    total = int(weight.sum())
-    budget = total / p
-
-    owner[:] = -1
-    unassigned = n
-    next_seed = 0
-    from collections import deque
-
-    for d in range(p - 1):
-        acc = 0
-        queue: deque = deque()
-        while unassigned > (p - 1 - d):
-            if not queue:
-                while next_seed < n and owner[next_seed] != -1:
-                    next_seed += 1
-                if next_seed == n:
-                    break
-                if acc and acc + weight[next_seed] > budget:
-                    break  # device full; the seed waits for the next one
-                queue.append(next_seed)
-            r = queue.popleft()
-            if owner[r] != -1:
-                continue
-            if acc and acc + weight[r] > budget:
-                continue  # too heavy for the remaining budget; skip
-            owner[r] = d
-            acc += int(weight[r])
-            unassigned -= 1
-            if acc >= budget:
-                break
-            neigh = indices[indptr[r]:indptr[r + 1]]
-            queue.extend(neigh[owner[neigh] == -1].tolist())
-    owner[owner == -1] = p - 1
-
-    # refinement: move boundary rows toward their best-connected part
-    seg_rows = np.repeat(np.arange(n, dtype=np.int64), row_nnz)
-    part_w = np.bincount(owner, weights=weight, minlength=p)
-    part_rows = np.bincount(owner, minlength=p)
-    lo_w = (1.0 - balance_slack) * budget
-    hi_w = (1.0 + balance_slack) * budget
-    rows_idx = np.arange(n)
-    for _ in range(max(0, sweeps)):
-        conn = np.zeros((n, p), dtype=np.int64)
-        np.add.at(conn, (seg_rows, owner[indices]), 1)
-        cur = conn[rows_idx, owner]
-        best = conn.argmax(axis=1)
-        gain = conn[rows_idx, best] - cur
-        movers = np.flatnonzero((best != owner) & (gain > 0))
-        if movers.size == 0:
-            break
-        moved = 0
-        for r in movers[np.argsort(-gain[movers])]:
-            src, dst = int(owner[r]), int(best[r])
-            w = int(weight[r])
-            if part_rows[src] <= 1:
-                continue
-            if part_w[src] - w < lo_w or part_w[dst] + w > hi_w:
-                continue
-            owner[r] = dst
-            part_w[src] -= w
-            part_w[dst] += w
-            part_rows[src] -= 1
-            part_rows[dst] += 1
-            moved += 1
-        if moved == 0:
-            break
-    return owner
-
-
 def partition_rows(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    n_devices: int,
-    mode: str = "nnz",
-) -> tuple[list[np.ndarray], np.ndarray, np.ndarray | None]:
-    """Compute per-device row sets for one partitioning ``mode``.
+    indptr: np.ndarray, n_devices: int, mode: str = "nnz"
+) -> np.ndarray:
+    """Contiguous row-block ``bounds`` for one partitioning ``mode``.
 
-    Returns ``(row_sets, owner, bounds)`` where ``row_sets[d]`` is the
-    sorted global row ids device ``d`` owns, ``owner`` maps every row to
-    its device, and ``bounds`` is the contiguous block boundary array for
-    the contiguous modes (``None`` for ``mincut``).
+    Device ``d`` owns rows ``bounds[d]:bounds[d+1]``.
     """
-    n = len(indptr) - 1
     if mode == "rows":
-        bounds = partition_bounds(n, n_devices)
-    elif mode == "nnz":
-        bounds = partition_bounds_nnz(indptr, n_devices)
-    elif mode == "mincut":
-        owner = partition_owner_mincut(indptr, indices, n_devices)
-        row_sets = [np.flatnonzero(owner == d) for d in range(n_devices)]
-        return row_sets, owner, None
-    else:
-        raise SparseValueError(
-            f"unknown partition mode {mode!r}; expected one of {PARTITION_MODES}"
-        )
-    owner = np.repeat(
-        np.arange(n_devices, dtype=np.int64), np.diff(bounds)
+        return partition_bounds(len(indptr) - 1, n_devices)
+    if mode == "nnz":
+        return partition_bounds_nnz(indptr, n_devices)
+    raise SparseValueError(
+        f"unknown partition mode {mode!r}; expected one of {PARTITION_MODES}"
     )
-    row_sets = [
-        np.arange(bounds[d], bounds[d + 1], dtype=np.int64)
-        for d in range(n_devices)
-    ]
-    return row_sets, owner, bounds
+
+
+def check_bounds(
+    bounds, n: int, n_devices: int, error: type[Exception] = SparseValueError
+) -> np.ndarray:
+    """Validate ``bounds`` as a split of ``n`` rows into ``n_devices``
+    non-empty contiguous blocks; returns it as int64, raises ``error``."""
+    b = np.asarray(bounds, dtype=np.int64)
+    if b.shape != (n_devices + 1,):
+        raise error(
+            f"bounds for {n_devices} devices need {n_devices + 1} entries, "
+            f"got shape {b.shape}"
+        )
+    if b[0] != 0 or b[-1] != n:
+        raise error(f"bounds must run from 0 to {n}, got {b[0]}..{b[-1]}")
+    if (np.diff(b) <= 0).any():
+        raise error(f"bounds must be strictly increasing, got {b.tolist()}")
+    return b
 
 
 @dataclass
 class CSRShard:
-    """One device's row set, stored as split local + halo CSR parts.
+    """One device's row block, stored as split local + halo CSR parts.
 
-    ``rows`` holds the global row ids this device owns (sorted; a
-    contiguous range under the ``rows``/``nnz`` modes, arbitrary under
-    ``mincut``).  ``local_indices`` are offsets into the device's own x
-    shard; ``halo_indices`` are offsets into ``halo_buf``, the receive
+    The device owns global rows ``row_start:row_stop``.
+    ``local_indices`` are offsets into the device's own x shard;
+    ``halo_indices`` are offsets into ``halo_buf``, the receive
     buffer the peer copies land in.  ``halo_cols`` (host metadata) maps
     those slots back to global column ids, and ``halo_src_counts[e]``
     says how many of them device ``e`` owns — one peer copy per nonzero
@@ -256,7 +145,8 @@ class CSRShard:
 
     device: Device
     index: int
-    rows: np.ndarray
+    row_start: int
+    row_stop: int
     local_indptr: DeviceArray
     local_indices: DeviceArray
     local_val: DeviceArray
@@ -270,7 +160,7 @@ class CSRShard:
 
     @property
     def n_rows(self) -> int:
-        return int(self.rows.size)
+        return self.row_stop - self.row_start
 
     @property
     def nnz_local(self) -> int:
@@ -296,16 +186,14 @@ class CSRShard:
 
 @dataclass
 class PartitionedCSR:
-    """A CSR matrix split into per-device row sets (plus the canonical
+    """A CSR matrix split into per-device row blocks (plus the canonical
     host-side substrate mirror used for the reference arithmetic)."""
 
     shape: tuple[int, int]
     nnz: int
     mode: str
-    #: device id per global row
-    owner: np.ndarray
-    #: contiguous block boundaries for the contiguous modes, None for mincut
-    bounds: np.ndarray | None
+    #: device ``d`` owns rows ``bounds[d]:bounds[d+1]``
+    bounds: np.ndarray
     shards: list[CSRShard]
     sub_rows: np.ndarray = field(repr=False)
     sub_cols: np.ndarray = field(repr=False)
@@ -314,11 +202,6 @@ class PartitionedCSR:
     @property
     def n_devices(self) -> int:
         return len(self.shards)
-
-    @property
-    def row_sets(self) -> list[np.ndarray]:
-        """Per-device sorted global row ids (the shard layouts)."""
-        return [s.rows for s in self.shards]
 
     @property
     def row_counts(self) -> tuple[int, ...]:
@@ -359,34 +242,24 @@ def _split_row_block(
     indptr: np.ndarray,
     indices: np.ndarray,
     vals: np.ndarray,
-    rows_d: np.ndarray,
-    owner: np.ndarray,
-    local_slot: np.ndarray,
+    bounds: np.ndarray,
     d: int,
-    n_devices: int,
 ):
-    """Host-side split of device ``d``'s row set into local/halo pieces.
+    """Host-side split of device ``d``'s row block into local/halo pieces.
 
-    ``owner`` maps every global row/column to its device and
-    ``local_slot`` to its position within the owner's sorted row set, so
-    arbitrary (non-contiguous) row sets split exactly like contiguous
-    blocks did.
+    A column is local when it falls inside the block
+    (``lo <= col < hi``, local slot ``col - lo``); every other column is
+    halo, owned by the peer whose block contains it.
     """
-    nd = int(rows_d.size)
-    starts = indptr[rows_d]
-    counts = indptr[rows_d + 1] - starts
-    total = int(counts.sum())
-    if total:
-        # gather the nnz of all owned rows: for each row, a run of
-        # consecutive source offsets starting at indptr[row]
-        shift = np.cumsum(counts) - counts
-        idx = np.arange(total, dtype=np.int64) + np.repeat(starts - shift, counts)
-    else:
-        idx = np.empty(0, dtype=np.int64)
-    seg_rows = np.repeat(np.arange(nd, dtype=np.int64), counts)
-    seg_cols = indices[idx]
-    seg_vals = vals[idx]
-    local_mask = owner[seg_cols] == d
+    lo, hi = int(bounds[d]), int(bounds[d + 1])
+    nd = hi - lo
+    start, stop = int(indptr[lo]), int(indptr[hi])
+    seg_rows = np.repeat(
+        np.arange(nd, dtype=np.int64), np.diff(indptr[lo:hi + 1])
+    )
+    seg_cols = indices[start:stop]
+    seg_vals = vals[start:stop]
+    local_mask = (seg_cols >= lo) & (seg_cols < hi)
 
     def _csr_piece(mask):
         piece_counts = np.bincount(seg_rows[mask], minlength=nd)
@@ -395,7 +268,7 @@ def _split_row_block(
         return piece_indptr
 
     local_indptr = _csr_piece(local_mask)
-    local_cols = local_slot[seg_cols[local_mask]]
+    local_cols = seg_cols[local_mask].astype(np.int64) - lo
     local_vals = seg_vals[local_mask]
 
     halo_mask = ~local_mask
@@ -403,12 +276,13 @@ def _split_row_block(
     halo_global = seg_cols[halo_mask]
     halo_cols, halo_slots = np.unique(halo_global, return_inverse=True)
     halo_vals = seg_vals[halo_mask]
-    src_counts = np.bincount(owner[halo_cols], minlength=n_devices)
+    halo_owner = np.searchsorted(bounds, halo_cols, side="right") - 1
+    src_counts = np.bincount(halo_owner, minlength=len(bounds) - 1)
     return (
         local_indptr, local_cols, local_vals,
         halo_indptr, halo_slots.astype(np.int64), halo_vals,
         halo_cols, src_counts,
-        total,
+        stop - start,
     )
 
 
@@ -417,16 +291,16 @@ def partition_csr(
     devices: list[Device],
     rows_cache: np.ndarray | None = None,
     mode: str = "nnz",
-    row_sets: list[np.ndarray] | None = None,
+    bounds: np.ndarray | None = None,
 ) -> PartitionedCSR:
-    """Split ``A`` into per-device row sets with local/halo column parts.
+    """Split ``A`` into per-device row blocks with local/halo column parts.
 
     ``mode`` picks the partitioning strategy (see :func:`partition_rows`);
     ``"nnz"`` is the default because row-count splits ignore degree skew.
-    Pass ``row_sets`` (with matching ``mode`` for bookkeeping) to reuse a
+    Pass ``bounds`` (with matching ``mode`` for bookkeeping) to reuse a
     partition computed once by a composed multi-stage plan.
 
-    Device 0 (which holds ``A``) keeps its row set in place; every other
+    Device 0 (which holds ``A``) keeps its row block in place; every other
     device receives its raw rows over the modeled bus as one peer copy on
     its halo copy stream (``indptr`` slice + column indices + values),
     concurrently across devices.  Each device then runs one streaming
@@ -451,23 +325,10 @@ def partition_csr(
     indptr = A.indptr.data
     indices = A.indices.data
     vals = A.val.data
-    bounds: np.ndarray | None
-    if row_sets is not None:
-        if len(row_sets) != p:
-            raise SparseValueError(
-                f"{len(row_sets)} row sets for {p} devices"
-            )
-        owner = np.full(n, -1, dtype=np.int64)
-        for d, rows_d in enumerate(row_sets):
-            owner[rows_d] = d
-        if (owner < 0).any():
-            raise SparseValueError("row sets do not cover every row")
-        bounds = None
+    if bounds is None:
+        bounds = partition_rows(indptr, p, mode=mode)
     else:
-        row_sets, owner, bounds = partition_rows(indptr, indices, p, mode=mode)
-    local_slot = np.empty(n, dtype=np.int64)
-    for rows_d in row_sets:
-        local_slot[rows_d] = np.arange(rows_d.size, dtype=np.int64)
+        bounds = check_bounds(bounds, n, p)
     if rows_cache is None:
         sub_rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
     else:
@@ -480,20 +341,18 @@ def partition_csr(
     block_nnz: list[int] = []
     try:
         for d, dev in enumerate(devices):
-            rows_d = np.asarray(row_sets[d], dtype=np.int64)
             (
                 l_indptr, l_cols, l_vals,
                 h_indptr, h_slots, h_vals,
                 h_cols, src_counts,
                 rnnz,
-            ) = _split_row_block(
-                indptr, indices, vals, rows_d, owner, local_slot, d, p
-            )
-            nd = int(rows_d.size)
+            ) = _split_row_block(indptr, indices, vals, bounds, d)
+            nd = int(bounds[d + 1] - bounds[d])
             shard = CSRShard(
                 device=dev,
                 index=d,
-                rows=rows_d,
+                row_start=int(bounds[d]),
+                row_stop=int(bounds[d + 1]),
                 local_indptr=bufs.add(dev.empty(nd + 1, dtype=np.int64)),
                 local_indices=bufs.add(
                     dev.empty(max(l_cols.size, 1), dtype=np.int64)
@@ -556,7 +415,6 @@ def partition_csr(
         shape=A.shape,
         nnz=A.nnz,
         mode=mode,
-        owner=owner,
         bounds=bounds,
         shards=shards,
         sub_rows=sub_rows,

@@ -5,7 +5,7 @@ co-processors" although its evaluation uses one K20c; this module carries
 Algorithm 4 to the multi-device setting as a natural extension.
 
 :func:`kmeans_composed` is the multi-device stage of the composed fit: it
-consumes an existing row partition (the same ``row_sets`` the sharded
+consumes an existing row partition (the same ``bounds`` the sharded
 eigensolver ran on, so the embedding shards stay resident and the V
 upload is elided), replicates :func:`~repro.kmeans.gpu.kmeans_device`'s
 fused+SpMM arithmetic on the full host mirror so labels, centroids, and
@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.cuda.device import Device
 from repro.cuda.memory import BufferGroup
+from repro.cusparse.partition import check_bounds
 from repro.errors import ClusteringError
 from repro.kmeans.utils import (
     KMeansResult,
@@ -124,8 +125,7 @@ class _ComposedCharger:
 
 def _composed_plus_plus(
     ch: _ComposedCharger,
-    row_counts: list[int],
-    owner_of: np.ndarray,
+    bounds: np.ndarray,
     V: np.ndarray,
     k: int,
     rng: np.random.Generator,
@@ -142,10 +142,14 @@ def _composed_plus_plus(
     """
     n, d = V.shape
     p = len(ch.devices)
+    row_counts = [int(c) for c in np.diff(bounds)]
     C = np.empty((k, d))
 
+    def shard_of(row: int) -> int:
+        return int(np.searchsorted(bounds, row, side="right")) - 1
+
     def _broadcast_row(choice: int) -> None:
-        own = int(owner_of[choice])
+        own = shard_of(choice)
         t0 = ch.now
         dt = ch.kernel(own, "copy_centroid", t0, 0.0, 2.0 * d * 8)
         for j in range(p):
@@ -182,7 +186,7 @@ def _composed_plus_plus(
         else:
             u = rng.uniform(0.0, total)
             choice = int(min(np.searchsorted(scan, u, side="left"), n - 1))
-            own = int(owner_of[choice])
+            own = shard_of(choice)
             nd = row_counts[own]
             t = ch.now
             t += ch.kernel(own, "stage_query", t, 0.0, 8.0)
@@ -206,7 +210,7 @@ def _composed_plus_plus(
 
 def kmeans_composed(
     devices: list[Device],
-    row_sets: list[np.ndarray],
+    bounds: np.ndarray,
     V: np.ndarray,
     k: int,
     init: str = "k-means++",
@@ -218,7 +222,7 @@ def kmeans_composed(
     """Algorithm 4 over an existing multi-device row partition.
 
     The composed stage of the one-plan fit: rows were partitioned once
-    (by the graph-aware partitioner) and the embedding block is already
+    (by the eigensolver's plan) and the embedding block is already
     sharded across ``devices`` when the eigensolver hands over, so this
     path skips the re-gather/re-scatter a phase-by-phase fit pays.
 
@@ -244,10 +248,10 @@ def kmeans_composed(
     ----------
     devices:
         Devices sharing one timeline (the composed plan's device group).
-    row_sets:
-        Per-device global row indices; together they must partition
-        ``range(n)``.  Pass the eigensolver plan's ``row_sets`` to keep
-        the two stages on the same layout.
+    bounds:
+        Contiguous row blocks: device ``j`` owns rows
+        ``bounds[j]:bounds[j+1]``.  Pass the eigensolver plan's
+        ``bounds`` to keep the two stages on the same layout.
     resident:
         ``True`` when the embedding shards are already device-resident
         from the previous stage: the per-shard upload is elided (recorded
@@ -263,10 +267,6 @@ def kmeans_composed(
     """
     if not devices:
         raise ClusteringError("need at least one device")
-    if len(row_sets) != len(devices):
-        raise ClusteringError(
-            f"{len(row_sets)} row sets for {len(devices)} devices"
-        )
     tl = devices[0].timeline
     if any(dev.timeline is not tl for dev in devices):
         raise ClusteringError("composed devices must share one timeline")
@@ -276,13 +276,9 @@ def kmeans_composed(
         raise ClusteringError(
             f"{len(devices)} devices for only {n} rows"
         )
-    owner_of = np.full(n, -1, dtype=np.int64)
-    for j, rows in enumerate(row_sets):
-        owner_of[np.asarray(rows, dtype=np.int64)] = j
-    if (owner_of < 0).any():
-        raise ClusteringError("row_sets do not cover every row")
-    row_counts = [int(np.asarray(r).size) for r in row_sets]
     p = len(devices)
+    bounds = check_bounds(bounds, n, p, error=ClusteringError)
+    row_counts = [int(c) for c in np.diff(bounds)]
     rng = np.random.default_rng(seed)
 
     ch = _ComposedCharger(devices)
@@ -314,7 +310,7 @@ def kmeans_composed(
             for j in range(1, p):
                 ch.p2p(j, 0, k * d * 8, t0 + dt)
         elif init == "k-means++":
-            C = _composed_plus_plus(ch, row_counts, owner_of, V, k, rng)
+            C = _composed_plus_plus(ch, bounds, V, k, rng)
         elif init == "random":
             from repro.kmeans.init import random_init
 

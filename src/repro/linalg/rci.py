@@ -162,9 +162,9 @@ class TransferLedger:
         Peer copies issued per SpMV (nonzero (dst, src) pairs).
     row_counts:
         Rows owned per device.  Empty means the uniform ``linspace``
-        split (the PR-5 row-balanced partitioner); the nnz-balanced and
-        min-cut modes pass their actual row counts so scatter/gather
-        slices follow the real layout.
+        split (``partition_mode="rows"``); the partitioned drivers pass
+        their actual block sizes so scatter/gather slices follow the
+        real layout.
     """
 
     n: int

@@ -74,9 +74,12 @@ class ClusterRequest:
     #: so deliberately NOT part of embedding_key — a multi-device solve
     #: can serve a cached single-device embedding and vice versa)
     eig_devices: int = 1
-    #: GPUs the *composed* fit spans (one partition across eigensolve and
-    #: k-means) and the row-partitioner mode; bit-identical output, so —
-    #: like eig_devices — deliberately NOT part of embedding_key
+    #: the estimator's fit_devices and the row-partitioner mode.  The
+    #: service runs the staged path, which has no composed plan: the
+    #: solve is sharded over fit_devices GPUs and k-means runs on one
+    #: device, exactly as eig_devices=fit_devices would.  Bit-identical
+    #: output, so — like eig_devices — deliberately NOT part of
+    #: embedding_key
     fit_devices: int = 1
     partition_mode: str = "nnz"
     #: storage precision of the eigensolve ('fp64'/'fp32'/'fp16') — part

@@ -26,6 +26,16 @@ def make_devices(p):
     return [primary] + peers
 
 
+#: malformed bounds for 60 rows over 3 devices
+MALFORMED_BOUNDS = [
+    pytest.param([0, 30, 60], id="wrong-length"),
+    pytest.param([5, 20, 40, 60], id="first-not-zero"),
+    pytest.param([0, 20, 40, 55], id="last-not-n"),
+    pytest.param([0, 40, 20, 60], id="decreasing"),
+    pytest.param([0, 20, 20, 60], id="empty-block"),
+]
+
+
 @pytest.fixture
 def operator(device, rng):
     host = random_sparse(120, 120, 0.1, rng=rng, symmetric=True).to_csr()
@@ -71,7 +81,10 @@ class TestPartitionCSR:
                 shard.local_indices.data[: shard.nnz_local] < shard.n_rows
             ).all()
             # halo columns are genuinely off-block
-            assert not np.isin(shard.halo_cols, shard.rows).any()
+            assert not (
+                (shard.halo_cols >= shard.row_start)
+                & (shard.halo_cols < shard.row_stop)
+            ).any()
         assert total == A.nnz
 
     def test_halo_src_counts_sum_to_halo_count(self, rng):
@@ -225,8 +238,8 @@ class TestSpmvPartitioned:
 
 
 class TestPartitionModes:
-    """nnz-balanced and min-cut partitioning: balance, coverage, halo wins,
-    and mode-independent bit-identity."""
+    """rows- and nnz-balanced partitioning: balance, explicit bounds, and
+    mode-independent bit-identity."""
 
     def _skewed(self, rng, n=120):
         """A graph whose first rows are far denser than the rest."""
@@ -280,40 +293,7 @@ class TestPartitionModes:
         with pytest.raises(SparseValueError):
             partition_csr(A, devices, mode="metis")
 
-    def test_mincut_covers_all_rows_and_balances(self, rng):
-        from repro.cusparse.partition import partition_owner_mincut
-        from repro.sparse.construct import random_sparse
-
-        host = random_sparse(200, 200, 0.05, rng=rng, symmetric=True).to_csr()
-        owner = partition_owner_mincut(host.indptr, host.indices, 3)
-        assert owner.shape == (200,)
-        counts = np.bincount(owner, minlength=3)
-        assert (counts > 0).all()
-        nnz_per = np.bincount(owner, weights=np.diff(host.indptr), minlength=3)
-        assert nnz_per.max() < 1.5 * nnz_per.min() + host.indptr[-1] * 0.15
-
-    def test_mincut_reduces_halo_on_clustered_graph(self, rng):
-        """On a community graph with shuffled vertex ids, BFS-grow finds
-        the communities contiguous splits cannot see."""
-        from repro.datasets.sbm import stochastic_block_model
-        from repro.sparse.construct import from_edge_list
-
-        edges, _ = stochastic_block_model(
-            [60, 60, 60, 60], p_in=0.25, p_out=0.01,
-            rng=np.random.default_rng(7),
-        )
-        perm = np.random.default_rng(3).permutation(240)
-        shuffled = from_edge_list(perm[edges], n_nodes=240).to_csr()
-
-        halo = {}
-        for mode in ("rows", "mincut"):
-            devices = make_devices(2)
-            A = csr_to_device(devices[0], shuffled)
-            P = partition_csr(A, devices, mode=mode)
-            halo[mode] = P.step_halo_bytes()
-        assert halo["mincut"] <= 0.8 * halo["rows"]
-
-    @pytest.mark.parametrize("mode", ["rows", "nnz", "mincut"])
+    @pytest.mark.parametrize("mode", ["rows", "nnz"])
     def test_bit_identical_across_modes(self, rng, mode):
         host = self._skewed(rng)
         x = rng.standard_normal(120)
@@ -330,17 +310,22 @@ class TestPartitionModes:
         y = spmv_partitioned(P, x)
         assert y.tobytes() == ref.tobytes()
 
-    def test_explicit_row_sets_reused(self, rng):
+    def test_explicit_bounds_reused(self, rng):
         from repro.sparse.construct import random_sparse
 
         host = random_sparse(60, 60, 0.1, rng=rng).to_csr()
         devices = make_devices(2)
         A = csr_to_device(devices[0], host)
-        sets = [np.arange(0, 20, dtype=np.int64), np.arange(20, 60, dtype=np.int64)]
-        P = partition_csr(A, devices, row_sets=sets)
+        P = partition_csr(A, devices, bounds=[0, 20, 60])
         assert P.row_counts == (20, 40)
-        bad = [np.arange(0, 20, dtype=np.int64), np.arange(25, 60, dtype=np.int64)]
-        devices2 = make_devices(2)
-        A2 = csr_to_device(devices2[0], host)
+        assert P.bounds.tolist() == [0, 20, 60]
+
+    @pytest.mark.parametrize("bounds", MALFORMED_BOUNDS)
+    def test_malformed_bounds_rejected(self, rng, bounds):
+        from repro.sparse.construct import random_sparse
+
+        host = random_sparse(60, 60, 0.1, rng=rng).to_csr()
+        devices = make_devices(3)
+        A = csr_to_device(devices[0], host)
         with pytest.raises(SparseValueError):
-            partition_csr(A2, devices2, row_sets=bad)
+            partition_csr(A, devices, bounds=bounds)

@@ -7,6 +7,7 @@ from repro.cuda.device import Device
 from repro.errors import ClusteringError
 from repro.kmeans.gpu import kmeans_device
 from repro.kmeans.init import kmeans_plus_plus
+from repro.cusparse.partition import partition_bounds
 from repro.kmeans.multi_gpu import kmeans_composed
 
 
@@ -34,17 +35,10 @@ def composed_group(p):
     ]
 
 
-def contiguous_row_sets(n, p):
-    from repro.cusparse.partition import partition_bounds
-
-    b = partition_bounds(n, p)
-    return [np.arange(b[j], b[j + 1], dtype=np.int64) for j in range(p)]
-
-
 def composed(n_dev, V, k, **kwargs):
     """``kmeans_composed`` over contiguous row blocks of a fresh group."""
     return kmeans_composed(
-        composed_group(n_dev), contiguous_row_sets(len(V), n_dev),
+        composed_group(n_dev), partition_bounds(len(V), n_dev),
         V, k, **kwargs,
     )
 
@@ -146,11 +140,9 @@ class TestValidation:
             kmeans_composed([], [], V, k)
 
     def test_more_devices_than_points(self, rng):
-        rows = [np.arange(3, dtype=np.int64)] + [
-            np.zeros(0, dtype=np.int64) for _ in range(4)
-        ]
-        with pytest.raises(ClusteringError):
-            kmeans_composed(composed_group(5), rows, rng.random((3, 2)), 2)
+        bounds = [0, 3, 3, 3, 3, 3]
+        with pytest.raises(ClusteringError, match="5 devices for only 3"):
+            kmeans_composed(composed_group(5), bounds, rng.random((3, 2)), 2)
 
     def test_bad_centroid_shape(self, big_blobs):
         V, _, k = big_blobs
@@ -163,7 +155,7 @@ class TestValidation:
         devs = composed_group(2)
         with pytest.raises(ClusteringError):
             kmeans_composed(
-                devs, contiguous_row_sets(len(V), 2), V, k,
+                devs, partition_bounds(len(V), 2), V, k,
                 initial_centroids=np.zeros((k, 99)),
             )
         for d in devs:
@@ -179,7 +171,7 @@ class TestComposed:
         C0 = kmeans_plus_plus(V, k, np.random.default_rng(3))
         single = kmeans_device(Device(), V, k, initial_centroids=C0)
         res, _, _ = kmeans_composed(
-            composed_group(n_dev), contiguous_row_sets(len(V), n_dev),
+            composed_group(n_dev), partition_bounds(len(V), n_dev),
             V, k, initial_centroids=C0,
         )
         assert res.labels.tobytes() == single.labels.tobytes()
@@ -194,30 +186,17 @@ class TestComposed:
         V, _, k = big_blobs
         single = kmeans_device(Device(), V, k, seed=seed)
         res, _, _ = kmeans_composed(
-            composed_group(2), contiguous_row_sets(len(V), 2),
+            composed_group(2), partition_bounds(len(V), 2),
             V, k, seed=seed,
         )
         assert res.labels.tobytes() == single.labels.tobytes()
         assert res.centroids.tobytes() == single.centroids.tobytes()
 
-    def test_noncontiguous_row_sets_bit_identical(self, big_blobs):
-        """A mincut-style interleaved ownership changes nothing but time."""
-        V, _, k = big_blobs
-        n = len(V)
-        C0 = kmeans_plus_plus(V, k, np.random.default_rng(3))
-        single = kmeans_device(Device(), V, k, initial_centroids=C0)
-        rows = np.random.default_rng(11).permutation(n)
-        sets = [np.sort(rows[: n // 2]), np.sort(rows[n // 2:])]
-        res, _, _ = kmeans_composed(
-            composed_group(2), sets, V, k, initial_centroids=C0
-        )
-        assert res.labels.tobytes() == single.labels.tobytes()
-
     def test_transfer_plan_matches_meters(self, big_blobs):
         V, _, k = big_blobs
         devs = composed_group(3)
         _, _, plan = kmeans_composed(
-            devs, contiguous_row_sets(len(V), 3), V, k, seed=0
+            devs, partition_bounds(len(V), 3), V, k, seed=0
         )
         assert plan["h2d_bytes"] == sum(d.bytes_h2d for d in devs)
         assert plan["d2h_bytes"] == sum(d.bytes_d2h for d in devs)
@@ -232,13 +211,13 @@ class TestComposed:
         an elided transfer of the same size."""
         V, _, k = big_blobs
         C0 = kmeans_plus_plus(V, k, np.random.default_rng(3))
-        sets = contiguous_row_sets(len(V), 2)
+        bounds = partition_bounds(len(V), 2)
         _, _, cold = kmeans_composed(
-            composed_group(2), sets, V, k, initial_centroids=C0
+            composed_group(2), bounds, V, k, initial_centroids=C0
         )
         devs = composed_group(2)
         res, _, warm = kmeans_composed(
-            devs, sets, V, k, initial_centroids=C0, resident=True
+            devs, bounds, V, k, initial_centroids=C0, resident=True
         )
         shard_bytes = V.nbytes
         assert cold["h2d_bytes"] - warm["h2d_bytes"] == shard_bytes
@@ -249,37 +228,38 @@ class TestComposed:
     def test_resident_faster_than_cold(self, big_blobs):
         V, _, k = big_blobs
         C0 = kmeans_plus_plus(V, k, np.random.default_rng(3))
-        sets = contiguous_row_sets(len(V), 2)
+        bounds = partition_bounds(len(V), 2)
         _, cold, _ = kmeans_composed(
-            composed_group(2), sets, V, k, initial_centroids=C0
+            composed_group(2), bounds, V, k, initial_centroids=C0
         )
         _, warm, _ = kmeans_composed(
-            composed_group(2), sets, V, k, initial_centroids=C0,
+            composed_group(2), bounds, V, k, initial_centroids=C0,
             resident=True,
         )
         assert warm.parallel_seconds < cold.parallel_seconds
 
-    def test_row_sets_must_cover(self, big_blobs):
+    @pytest.mark.parametrize("bounds", [
+        pytest.param(lambda n: [0, n], id="wrong-length"),
+        pytest.param(lambda n: [1, n // 2, n], id="first-not-zero"),
+        pytest.param(lambda n: [0, n // 2, n - 3], id="last-not-n"),
+        pytest.param(lambda n: [0, n + 1, n], id="decreasing"),
+        pytest.param(lambda n: [0, 0, n], id="empty-block"),
+    ])
+    def test_malformed_bounds_rejected(self, big_blobs, bounds):
         V, _, k = big_blobs
-        devs = composed_group(2)
-        sets = contiguous_row_sets(len(V), 2)
         with pytest.raises(ClusteringError):
-            kmeans_composed(devs, sets[:1], V, k)
-        with pytest.raises(ClusteringError):
-            kmeans_composed(
-                devs, [sets[0], sets[1][:-3]], V, k
-            )
+            kmeans_composed(composed_group(2), bounds(len(V)), V, k)
 
     def test_devices_must_share_timeline(self, big_blobs):
         V, _, k = big_blobs
         with pytest.raises(ClusteringError):
             kmeans_composed(
-                [Device(), Device()], contiguous_row_sets(len(V), 2), V, k
+                [Device(), Device()], partition_bounds(len(V), 2), V, k
             )
 
     def test_memory_freed(self, big_blobs):
         V, _, k = big_blobs
         devs = composed_group(2)
-        kmeans_composed(devs, contiguous_row_sets(len(V), 2), V, k, seed=0)
+        kmeans_composed(devs, partition_bounds(len(V), 2), V, k, seed=0)
         for d in devs:
             assert d.allocator.used_bytes == 0

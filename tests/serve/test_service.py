@@ -326,11 +326,12 @@ class TestMultiDeviceServing:
         assert a.labels.tobytes() == b.labels.tobytes()
 
     def test_composed_request_bit_identical(self, make_request):
-        """fit_devices requests run the composed plan through the staged
-        estimator and reproduce the single-device answer bit for bit."""
+        """fit_devices requests run the staged estimator: a sharded solve
+        plus single-device k-means, which reproduces the single-device
+        answer bit for bit."""
         ref, _ = _service().process([make_request()])
         comp, _ = _service(n_devices=2).process(
-            [make_request(fit_devices=2, partition_mode="mincut")]
+            [make_request(fit_devices=2, partition_mode="rows")]
         )
         assert comp[0].labels.tobytes() == ref[0].labels.tobytes()
         assert np.array_equal(comp[0].eigenvalues, ref[0].eigenvalues)
@@ -342,7 +343,7 @@ class TestMultiDeviceServing:
         responses, _ = svc.process(
             [
                 make_request(),
-                make_request(fit_devices=2, partition_mode="mincut"),
+                make_request(fit_devices=2, partition_mode="rows"),
             ]
         )
         solve_names = {
