@@ -76,7 +76,7 @@ def _refit_parity(name: str, scale: float) -> dict:
         if out.refit:
             break
         weight *= 10.0
-    cold = SpectralClustering(**model.params).fit(graph=model.graph)
+    cold = SpectralClustering.from_config(model.config).fit(graph=model.graph)
     identical = bool(
         out.refit
         and np.array_equal(

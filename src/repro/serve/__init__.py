@@ -8,17 +8,17 @@ requests from cached fitted models under deadline/priority dispatch with
 EDF preemption at stage boundaries, and a multi-stream / multi-device
 scheduler that charges queueing and overlap to the simulated clock.  See
 ``docs/serving.md`` for the model.
+
+A :class:`ClusterRequest` is a :class:`~repro.core.config.FitConfig`
+plus its workload and service fields: the fit parameters, their JSON
+types in traces and on disk, and the operator/embedding/model cache keys
+all come from that one declaration.  :mod:`repro.serve.fingerprint`
+keeps only the content hashing of workloads.
 """
 
 from repro.serve.batcher import Batch, BatcherStats, MicroBatcher
 from repro.serve.cache import CacheStats, EmbeddingCache
-from repro.serve.fingerprint import (
-    embedding_key,
-    graph_fingerprint,
-    model_key,
-    operator_key,
-    points_fingerprint,
-)
+from repro.serve.fingerprint import graph_fingerprint, points_fingerprint
 from repro.serve.metrics import (
     LatencyStats,
     ServiceReport,
@@ -88,10 +88,7 @@ __all__ = [
     "StreamScheduler",
     "build_report",
     "merge_service_reports",
-    "embedding_key",
     "graph_fingerprint",
-    "model_key",
-    "operator_key",
     "percentile",
     "points_fingerprint",
     "predict_from_dict",

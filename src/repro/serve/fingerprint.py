@@ -13,17 +13,10 @@ clustering problem.  Object identity is useless across a replayed trace
   profile matrix, the ε-edge list, and the similarity measure parameters
   (which determine the graph Algorithm 1 would build).
 
-On top of the workload fingerprint sit two composite keys:
-
-* :func:`operator_key` — identifies a *device operator build* (Algorithm 2
-  output).  Requests with equal operator keys can share one graph upload +
-  one Laplacian normalization in a micro-batch.
-* :func:`embedding_key` — identifies a *spectral embedding* (Algorithm 3
-  output).  This is the embedding-cache key: it adds every solver
-  parameter that influences the Lanczos iteration or the eigenvector
-  post-processing, so a cache hit is bit-identical to a cold solve by
-  construction — the cached array was produced by the exact computation
-  the key describes.
+The composite cache keys on top of a workload fingerprint (operator,
+embedding and model keys) are methods of the fit configuration,
+:class:`~repro.core.config.FitConfig`, next to the declaration of which
+field enters which key.
 """
 
 from __future__ import annotations
@@ -73,72 +66,3 @@ def points_fingerprint(
     sigma_canon = float(sigma) if measure == "expdecay" else 1.0
     h.update(np.float64(sigma_canon).tobytes())
     return h.hexdigest()
-
-
-def operator_key(
-    fingerprint: str, operator: str, objective: str, handle_isolated: str
-) -> tuple:
-    """Batch-compatibility key: requests sharing it can share one graph
-    upload + Laplacian build (stages 1-2)."""
-    return (fingerprint, operator, objective, handle_isolated)
-
-
-def embedding_key(
-    fingerprint: str,
-    operator: str,
-    objective: str,
-    handle_isolated: str,
-    n_clusters: int,
-    m: int | None,
-    eig_tol: float,
-    eig_maxiter: int | None,
-    seed: int | None,
-    normalize_rows: bool,
-    precision: str = "fp64",
-    embedding: str = "lanczos",
-    filter_order: int | None = None,
-    n_signals: int | None = None,
-) -> tuple:
-    """Embedding-cache key: every parameter that influences stages 1-3.
-
-    Note ``seed`` is included because it seeds the Lanczos start vector —
-    two requests with different seeds legitimately produce different
-    embeddings, so they must not share a cache slot.  ``precision`` and
-    ``embedding`` are included because reduced-precision and power-
-    iteration embeddings are tolerance-band accurate rather than
-    bit-identical — an fp16 solve must never shadow an fp64 one (unlike
-    ``eig_devices``/``eig_residency``, which are bit-identical placements
-    and deliberately excluded).  ``filter_order``/``n_signals`` shape the
-    compressive tier's feature sketch (a different polynomial degree or
-    sketch width is a different embedding); they stay ``None`` on the
-    eigenvector embeddings, so compressive keys can never collide with
-    exact or power keys for the same workload.  The compressive
-    ``sample_frac``/``lift`` knobs are stage-4-only (they act after the
-    embedding is built) and are deliberately excluded.
-    """
-    return (
-        fingerprint, operator, objective, handle_isolated,
-        int(n_clusters), m, float(eig_tol), eig_maxiter, seed,
-        bool(normalize_rows), str(precision), str(embedding),
-        None if filter_order is None else int(filter_order),
-        None if n_signals is None else int(n_signals),
-    )
-
-
-def model_key(
-    embedding_key: tuple, kmeans_init: str, kmeans_max_iter: int
-) -> tuple:
-    """Fitted-model cache key: the embedding key plus the stage-4 knobs
-    that shape the centroids.
-
-    A :class:`~repro.core.model.FittedSpectralModel` adds exactly one
-    artifact on top of the embedding — the k-means centroids — so its
-    identity is the embedding's identity extended by the k-means
-    parameters (``seed`` is already in the embedding key and seeds the
-    k-means initialization too).  Predict-side knobs (payload size,
-    deadline, priority, chaos plan) are deliberately *outside* the key:
-    every predict against the same fit shares one cached model.
-    """
-    return ("model",) + tuple(embedding_key) + (
-        str(kmeans_init), int(kmeans_max_iter),
-    )

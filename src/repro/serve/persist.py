@@ -8,7 +8,7 @@ warms from disk instead:
 
 - **content-fingerprint keyed** — files are named by the SHA-256 of the
   canonicalized cache key (the same tuples
-  :mod:`~repro.serve.fingerprint` builds, so a disk hit is bit-identical
+  :class:`~repro.core.config.FitConfig` builds, so a disk hit is bit-identical
   to a memory hit by the same argument: the key covers every parameter
   that influenced the arrays).  The full key is stored *inside* the file
   and verified on load, so a truncated hash or a foreign file can never
@@ -41,9 +41,10 @@ from pathlib import Path
 
 import numpy as np
 
+from repro.core.config import FitConfig
 from repro.core.result import EmbeddingResult, StageTimings
 from repro.cuda.profiler import ProfileReport
-from repro.errors import ServiceError
+from repro.errors import ClusteringError, ServiceError
 from repro.sparse.csr import CSRMatrix
 
 #: bump when the on-disk layout changes; readers treat any other value
@@ -64,7 +65,7 @@ def canonical_key(key: tuple) -> str:
     """Canonical JSON for a cache key (tuples become lists, recursively).
 
     Cache keys are tuples of primitives by construction
-    (:mod:`~repro.serve.fingerprint`), so JSON round-trips them exactly;
+    (:class:`~repro.core.config.FitConfig`), so JSON round-trips them exactly;
     the canonical string is both the hash input and the stored identity.
     """
     def conv(obj):
@@ -192,7 +193,7 @@ class PersistentStore:
             extra = {
                 "n_total": int(value.n_total),
                 "graph_shape": list(value.graph.shape),
-                "params": _sanitize(value.params),
+                "params": _sanitize(value.config.to_dict()),
                 "drift_scale": float(value.drift_scale),
                 "n_refits": int(value.n_refits),
                 "accumulated_drift": float(value._accumulated_drift),
@@ -235,7 +236,10 @@ class PersistentStore:
         """Load one entry, or None on miss/stale/corrupt (never raises).
 
         The embedded key must match ``key`` exactly (content addressing
-        plus verification), and the format version must be current.
+        plus verification), and the format version must be current.  A
+        model's fit config must decode through
+        :meth:`~repro.core.config.FitConfig.from_dict`; one that does
+        not counts as a corrupt file.
         """
         path = self.path_for(key)
         if not path.exists():
@@ -257,7 +261,8 @@ class PersistentStore:
                 else:
                     self.stats.stale += 1
                     return None
-        except (OSError, ValueError, KeyError, json.JSONDecodeError):
+        except (OSError, ValueError, KeyError, json.JSONDecodeError,
+                ClusteringError):
             self.stats.errors += 1
             return None
         self.stats.loads += 1
@@ -306,7 +311,7 @@ class PersistentStore:
             n_total=int(meta["n_total"]),
             graph=graph,
             anchors=npz["anchors"] if meta.get("has_anchors") else None,
-            params=dict(meta.get("params", {})),
+            config=FitConfig.from_dict(meta.get("params")),
             resilience={},
             drift_scale=float(meta.get("drift_scale", 1.0)),
             n_refits=int(meta.get("n_refits", 0)),

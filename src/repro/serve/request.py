@@ -3,9 +3,10 @@
 A :class:`ClusterRequest` names a workload either by *reference* (a
 registered dataset + scale + generator seed — the JSONL-serializable form
 used in replay traces) or by *value* (an in-memory graph or point set).
-All estimator parameters ride on the request, so any two requests are
-free to differ in ``n_clusters``, seeds, tolerances, or chaos plans while
-still sharing a graph.
+A request is a :class:`~repro.core.config.FitConfig`, so every fit
+parameter rides on it and any two requests are free to differ in
+``n_clusters``, seeds, tolerances, or chaos plans while still sharing a
+graph.
 
 A :class:`ClusterResponse` carries the clustering output plus the
 service-side observability record: admission/queue/batch/cache facts and
@@ -20,16 +21,11 @@ import numpy as np
 
 from repro.chaos.plan import FaultPlan
 from repro.chaos.retry import DISABLED, ResiliencePolicy
+from repro.core.config import FitConfig
 from repro.core.pipeline import SpectralClustering
 from repro.core.result import StageTimings
 from repro.errors import RequestError
-from repro.serve.fingerprint import (
-    embedding_key,
-    graph_fingerprint,
-    model_key,
-    operator_key,
-    points_fingerprint,
-)
+from repro.serve.fingerprint import graph_fingerprint, points_fingerprint
 from repro.sparse.coo import COOMatrix
 from repro.sparse.csr import CSRMatrix
 
@@ -39,12 +35,16 @@ STATUS_REJECTED = "rejected"
 STATUS_FAILED = "failed"
 
 
-@dataclass
-class ClusterRequest:
+@dataclass(frozen=True)
+class ClusterRequest(FitConfig):
     """One clustering job submitted to the service.
 
-    Exactly one workload source must be set: ``dataset`` (by reference,
-    replayable) or ``graph`` / ``X``+``edges`` (by value).
+    A request *is* a :class:`~repro.core.config.FitConfig` — every fit
+    parameter, and the cache keys derived from them, come from that one
+    declaration — plus the workload and service fields below.  Exactly
+    one workload source must be set: ``dataset`` (by reference,
+    replayable) or ``graph`` / ``X``+``edges`` (by value).  Fit
+    parameters are validated at admission, not at construction.
     """
 
     request_id: str
@@ -61,48 +61,10 @@ class ClusterRequest:
     X: np.ndarray | None = None
     edges: np.ndarray | None = None
 
-    # -- estimator parameters (defaults mirror SpectralClustering) ------
-    n_clusters: int = 2
-    similarity: str = "crosscorr"
-    sigma: float = 1.0
-    operator: str = "sym"
-    objective: str = "ncut"
-    m: int | None = None
-    eig_tol: float = 1e-8
-    eig_maxiter: int | None = None
-    #: GPUs the eigensolve spans (row-partitioned; bit-identical output,
-    #: so deliberately NOT part of embedding_key — a multi-device solve
-    #: can serve a cached single-device embedding and vice versa)
-    eig_devices: int = 1
-    #: the estimator's fit_devices and the row-partitioner mode.  The
-    #: service runs the staged path, which has no composed plan: the
-    #: solve is sharded over fit_devices GPUs and k-means runs on one
-    #: device, exactly as eig_devices=fit_devices would.  Bit-identical
-    #: output, so — like eig_devices — deliberately NOT part of
-    #: embedding_key
-    fit_devices: int = 1
-    partition_mode: str = "nnz"
-    #: storage precision of the eigensolve ('fp64'/'fp32'/'fp16') — part
-    #: of embedding_key: reduced embeddings are tolerance-band accurate,
-    #: not bit-identical, so they must not shadow exact ones
-    precision: str = "fp64"
-    #: spectral embedding algorithm ('lanczos'/'power'/'compressive') —
-    #: part of embedding_key for the same reason
-    embedding: str = "lanczos"
-    #: compressive tier: Chebyshev degree / sketch width (None = engine
-    #: defaults).  Both are part of embedding_key — a different filter
-    #: polynomial or sketch width is a different embedding.
-    filter_order: int | None = None
-    n_signals: int | None = None
-    #: compressive tier: vertex sample fraction and lift mode — stage-4
-    #: knobs (they act after the embedding), so NOT part of embedding_key
-    sample_frac: float | None = None
-    lift: str = "interp"
-    kmeans_init: str = "k-means++"
-    kmeans_max_iter: int = 300
-    normalize_rows: bool = False
-    handle_isolated: str = "remove"
-    seed: int | None = 0
+    # -- served defaults (the estimator's are n_clusters required and
+    # eig_tol=0.0, i.e. machine precision) -------------------------------
+    n_clusters: int = field(default=2, kw_only=True)
+    eig_tol: float = field(default=1e-8, kw_only=True)
 
     # -- fault injection -------------------------------------------------
     chaos: FaultPlan | int | None = None
@@ -129,31 +91,8 @@ class ClusterRequest:
     # ------------------------------------------------------------------
     def estimator(self, device=None) -> SpectralClustering:
         """A fresh estimator configured exactly as this request asks."""
-        return SpectralClustering(
-            device=device,
-            n_clusters=self.n_clusters,
-            similarity=self.similarity,
-            sigma=self.sigma,
-            operator=self.operator,
-            objective=self.objective,
-            m=self.m,
-            eig_tol=self.eig_tol,
-            eig_maxiter=self.eig_maxiter,
-            eig_devices=self.eig_devices,
-            fit_devices=self.fit_devices,
-            partition_mode=self.partition_mode,
-            precision=self.precision,
-            embedding=self.embedding,
-            filter_order=self.filter_order,
-            n_signals=self.n_signals,
-            sample_frac=self.sample_frac,
-            lift=self.lift,
-            kmeans_init=self.kmeans_init,
-            kmeans_max_iter=self.kmeans_max_iter,
-            normalize_rows=self.normalize_rows,
-            handle_isolated=self.handle_isolated,
-            seed=self.seed,
-            chaos=self.chaos,
+        return SpectralClustering.from_config(
+            self, device=device, chaos=self.chaos,
             resilience=DISABLED if self.no_resilience else None,
         )
 
@@ -184,41 +123,6 @@ class ClusterRequest:
         raise RequestError(
             f"request {self.request_id!r} is by-reference; resolve the "
             "dataset before fingerprinting"
-        )
-
-    def operator_key(self, fingerprint: str) -> tuple:
-        return operator_key(
-            fingerprint, self.operator, self.objective, self.handle_isolated
-        )
-
-    def embedding_key(self, fingerprint: str) -> tuple:
-        # canonicalize the compressive knobs so explicit-default requests
-        # share a slot with engine-default ones, and non-compressive
-        # requests always key (None, None)
-        if self.embedding == "compressive":
-            from repro.compressive.filters import (
-                DEFAULT_FILTER_ORDER,
-                default_n_signals,
-            )
-
-            forder = self.filter_order or DEFAULT_FILTER_ORDER
-            nsig = self.n_signals or default_n_signals(self.n_clusters)
-        else:
-            forder = None
-            nsig = None
-        return embedding_key(
-            fingerprint, self.operator, self.objective, self.handle_isolated,
-            self.n_clusters, self.m, self.eig_tol, self.eig_maxiter,
-            self.seed, self.normalize_rows,
-            precision=self.precision, embedding=self.embedding,
-            filter_order=forder, n_signals=nsig,
-        )
-
-    def model_key(self, fingerprint: str) -> tuple:
-        """Fitted-model cache key (embedding key + k-means knobs)."""
-        return model_key(
-            self.embedding_key(fingerprint),
-            self.kmeans_init, self.kmeans_max_iter,
         )
 
 

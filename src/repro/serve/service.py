@@ -42,7 +42,7 @@ deadline/priority order (:meth:`StreamScheduler.dispatch_order`) with
 ``ready_at`` equal to their arrival, so an idle stream serves them while
 heavy fit batches occupy the other lanes.  The fitted model is shared
 through the same LRU cache as the embeddings under
-:func:`~repro.serve.fingerprint.model_key` (fit identity only — predict
+:meth:`~repro.core.config.FitConfig.model_key` (fit identity only — predict
 knobs stay outside the key): a miss charges one cold fit, every
 subsequent predict against that fit pays only the Nyström extension.
 A cold fit that recovered from injected faults is tainted and never

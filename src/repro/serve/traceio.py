@@ -14,37 +14,18 @@ from __future__ import annotations
 
 import json
 
+from repro.core.config import FIELD_KINDS, json_type_error
 from repro.errors import TraceFormatError
 from repro.serve.request import ClusterRequest, PredictRequest
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-#: JSON type checks by name: (predicate, what the error says was expected)
-_TYPES = {
-    "int": (_is_int, "an integer"),
-    "number": (_is_number, "a number"),
-    "str": (lambda v: isinstance(v, str), "a string"),
-    "bool": (lambda v: isinstance(v, bool), "a boolean"),
-    "object": (lambda v: isinstance(v, dict), "an object"),
-}
 
 #: JSONL fields accepted for a trace request and their JSON types; a
-#: trailing ``?`` also admits null (chaos is a seed, not a plan)
+#: trailing ``?`` also admits null (chaos is a seed, not a plan).  The
+#: fit fields and their types come from the one FitConfig declaration.
 _FIELDS = {
     "request_id": "str", "arrival": "number", "dataset": "str",
     "scale": "number", "data_seed": "int",
-    "n_clusters": "int", "similarity": "str", "sigma": "number",
-    "operator": "str", "objective": "str",
-    "m": "int?", "eig_tol": "number", "eig_maxiter": "int?",
-    "precision": "str", "embedding": "str",
-    "kmeans_init": "str", "kmeans_max_iter": "int",
-    "normalize_rows": "bool", "handle_isolated": "str", "seed": "int?",
+    **FIELD_KINDS,
     "chaos": "int?", "no_resilience": "bool",
 }
 
@@ -60,14 +41,11 @@ _PREDICT_FIELDS = {
 def _check_types(obj: dict, fields: dict, what: str, where: str) -> None:
     """Reject a field whose JSON value does not have its declared type."""
     for name, value in obj.items():
-        kind = fields[name]
-        if value is None and kind.endswith("?"):
-            continue
-        ok, expected = _TYPES[kind.rstrip("?")]
-        if not ok(value):
+        problem = json_type_error(value, fields[name])
+        if problem:
             raise TraceFormatError(
-                f"{what} {obj.get('request_id')!r}: field {name!r} must be "
-                f"{expected}, got {value!r}{where}"
+                f"{what} {obj.get('request_id')!r}: field {name!r} "
+                f"{problem}{where}"
             )
 
 

@@ -76,6 +76,7 @@ class TestEmbeddingCache:
 
 def _model(n_anchor=8, k=3, d=None):
     """A minimal FittedSpectralModel for cache-accounting tests."""
+    from repro.core.config import FitConfig
     from repro.core.model import FittedSpectralModel
     from repro.sparse.construct import from_edge_list
 
@@ -94,7 +95,7 @@ def _model(n_anchor=8, k=3, d=None):
         n_total=n_anchor,
         graph=graph,
         anchors=None if d is None else np.zeros((n_anchor, d)),
-        params={"n_clusters": k},
+        config=FitConfig(n_clusters=k),
     )
 
 

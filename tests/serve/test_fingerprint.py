@@ -1,14 +1,13 @@
 """Content fingerprints: workload identity for batching and caching."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from repro.serve.fingerprint import (
-    embedding_key,
-    graph_fingerprint,
-    operator_key,
-    points_fingerprint,
-)
+from repro.core.config import FitConfig
+from repro.serve.fingerprint import graph_fingerprint, points_fingerprint
+from repro.serve.persist import canonical_key
 
 
 class TestGraphFingerprint:
@@ -87,24 +86,49 @@ class TestPointsFingerprint:
 
 class TestCompositeKeys:
     def test_operator_key_partitions(self):
-        a = operator_key("fp", "sym", "ncut", "remove")
-        assert a == operator_key("fp", "sym", "ncut", "remove")
-        assert a != operator_key("fp", "rw", "ncut", "remove")
-        assert a != operator_key("other", "sym", "ncut", "remove")
+        cfg = FitConfig(n_clusters=2)
+        a = cfg.operator_key("fp")
+        assert a == FitConfig(n_clusters=2).operator_key("fp")
+        assert a != replace(cfg, operator="rw").operator_key("fp")
+        assert a != cfg.operator_key("other")
 
     def test_embedding_key_covers_solver_params(self):
-        base = dict(
-            fingerprint="fp", operator="sym", objective="ncut",
-            handle_isolated="remove", n_clusters=4, m=None, eig_tol=1e-8,
-            eig_maxiter=None, seed=0, normalize_rows=False,
-        )
-        key = embedding_key(**base)
-        assert key == embedding_key(**base)
+        base = FitConfig(n_clusters=4, eig_tol=1e-8)
+        key = base.embedding_key("fp")
+        assert key == replace(base).embedding_key("fp")
         for name, other in [
             ("n_clusters", 5), ("m", 32), ("eig_tol", 1e-6),
             ("eig_maxiter", 10), ("seed", 1), ("normalize_rows", True),
         ]:
-            assert key != embedding_key(**{**base, name: other}), name
+            assert key != replace(base, **{name: other}).embedding_key("fp"), name
+
+    @pytest.mark.parametrize("fields, emb, model", [
+        (
+            dict(m=24, seed=7, eig_devices=2, kmeans_max_iter=50),
+            '["%(fp)s","sym","ncut","remove",3,24,1e-08,null,7,false,'
+            '"fp64","lanczos",null,null]',
+            '["model","%(fp)s","sym","ncut","remove",3,24,1e-08,null,7,'
+            'false,"fp64","lanczos",null,null,"k-means++",50]',
+        ),
+        (
+            dict(embedding="compressive", n_signals=40, sample_frac=0.5),
+            '["%(fp)s","sym","ncut","remove",3,null,1e-08,null,0,false,'
+            '"fp64","compressive",48,40]',
+            '["model","%(fp)s","sym","ncut","remove",3,null,1e-08,null,0,'
+            'false,"fp64","compressive",48,40,"k-means++",300]',
+        ),
+    ])
+    def test_key_golden(self, fields, emb, model):
+        """The canonical key strings (the disk store hashes them into
+        file names) are frozen: a store written by an earlier build must
+        keep hitting."""
+        from repro.serve.request import ClusterRequest
+
+        fp = "0" * 64
+        req = ClusterRequest(request_id="g", dataset="syn200", n_clusters=3,
+                             **fields)
+        assert canonical_key(req.embedding_key(fp)) == emb % {"fp": fp}
+        assert canonical_key(req.model_key(fp)) == model % {"fp": fp}
 
     def test_requests_sharing_operator_but_not_embedding(self, make_request):
         """Different k shares the operator key but not the cache key."""

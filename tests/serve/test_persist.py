@@ -73,6 +73,7 @@ class TestStoreRoundTrip:
         assert np.array_equal(model.graph.data, back.graph.data)
         assert back.graph.shape == model.graph.shape
         assert back.n_total == model.n_total
+        assert back.config == model.config
         if model.anchors is None:
             assert back.anchors is None
         else:
@@ -152,6 +153,32 @@ class TestStoreInvalidation:
         store.save(KEY, _embedding())
         store.path_for(KEY).write_bytes(b"not an npz")
         assert store.load(KEY) is None
+        assert store.stats.errors == 1
+
+    @pytest.mark.parametrize("params", [
+        [4, 2],
+        {"n_clusters_typo": 4},
+    ], ids=["list", "unknown-key"])
+    def test_undecodable_model_config_is_a_miss(
+        self, tmp_path, small_graph, params
+    ):
+        """A model file whose fit config does not decode is corrupt:
+        load returns None and counts an error, never raises."""
+        import json
+
+        store = PersistentStore(tmp_path)
+        key = ("model", "fpm", 4)
+        store.save(key, _fitted_model(small_graph).model)
+        path = store.path_for(key)
+        with np.load(path) as npz:
+            arrays = {name: npz[name] for name in npz.files}
+        meta = json.loads(arrays["__meta__"].tobytes().decode())
+        meta["params"] = params
+        blob = json.dumps(meta).encode()
+        arrays["__meta__"] = np.frombuffer(blob, dtype=np.uint8)
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        assert store.load(key) is None
         assert store.stats.errors == 1
 
     def test_tainted_artifact_refused(self, tmp_path):

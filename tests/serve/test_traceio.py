@@ -1,9 +1,11 @@
 """JSONL request traces: round-trip fidelity and strict parsing."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
+from repro.core.config import FIT_FIELDS
 from repro.errors import TraceFormatError
 from repro.serve.request import ClusterRequest
 from repro.serve.traceio import (
@@ -15,15 +17,54 @@ from repro.serve.traceio import (
 )
 
 
+#: a request that sets every fit field to a non-default value
+EVERY_FIELD = ClusterRequest(
+    request_id="all", arrival=0.25, dataset="syn200", scale=0.1,
+    data_seed=3, n_clusters=5, similarity="cosine", sigma=2.5,
+    operator="rw", objective="ratiocut", m=24, eig_tol=1e-6,
+    eig_maxiter=50, eig_residency="host", eig_spmv_format="ell",
+    eig_devices=2, fit_devices=2, partition_mode="rows", precision="fp32",
+    embedding="compressive", filter_order=30, n_signals=40,
+    sample_frac=0.5, lift="nearest", kmeans_init="random",
+    kmeans_max_iter=50, kmeans_update="sort", kmeans_fused=False,
+    normalize_rows=True, handle_isolated="error", seed=7, chaos=11,
+    no_resilience=True,
+)
+
+
 class TestTraceRoundTrip:
     def test_round_trip_preserves_everything(self, tmp_path):
         reqs = synthetic_trace(n_requests=8, chaos_every=3, seed=42)
+        reqs.append(EVERY_FIELD)
         path = tmp_path / "trace.jsonl"
         write_trace(reqs, path)
         back = read_trace(path)
         assert len(back) == len(reqs)
         for a, b in zip(reqs, back):
-            assert request_to_dict(a) == request_to_dict(b)
+            for f in fields(ClusterRequest):
+                assert getattr(a, f.name) == getattr(b, f.name), f.name
+
+    def test_example_trace_keeps_compressive_and_placement_fields(self):
+        """The committed example trace (replayed by CI) parses with the
+        fields that earlier trace formats dropped."""
+        from pathlib import Path
+
+        from repro.serve.request import PredictRequest
+
+        path = (Path(__file__).parents[2] / "examples" / "traces"
+                / "fit_config.jsonl")
+        comp, composed, plain, pred = read_trace(path)
+        assert (comp.n_signals, comp.filter_order, comp.sample_frac) == (
+            24, 40, 0.5
+        )
+        assert (composed.fit_devices, composed.partition_mode) == (2, "rows")
+        assert isinstance(pred, PredictRequest)
+        assert pred.fit.model_key("fp") == plain.model_key("fp")
+
+    def test_every_field_request_sets_every_fit_field(self):
+        defaults = ClusterRequest(request_id="", dataset="syn200")
+        for name in FIT_FIELDS:
+            assert getattr(EVERY_FIELD, name) != getattr(defaults, name), name
 
     def test_defaults_omitted_from_lines(self):
         req = ClusterRequest(request_id="r1", dataset="syn200")
