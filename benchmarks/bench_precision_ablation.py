@@ -23,15 +23,19 @@ enforce them in CI:
 * reduced Lanczos cells gate on ``ari_vs_exact`` >= the per-dataset band
   and ``refine_residual`` <= the precision's tolerance floor;
 * the fp32 cell must cut modeled byte traffic by >=
-  ``MIN_FP32_BYTE_REDUCTION`` on every dataset;
+  ``MIN_FP32_BYTE_REDUCTION`` on every dataset whose fp64 cell moves SpMV
+  bytes;
 * power-embedding cells are recorded as evidence (the embedding is
   approximate by design — Boutsidis et al. bound its k-means cost, not
   its subspace angle) but only gated on byte-traffic creep.
 
 The bands are set *honestly* from measured behavior: fp16 keeps fb and
-syn200 at full agreement, degrades dti mildly, and effectively breaks
-dblp (ari_vs_exact ~0.14) — the dblp band documents that cliff rather
-than hiding it.
+syn200 at full agreement and degrades dti mildly.  The dblp bench graph
+has 13 components for k = 10, so every Lanczos cell returns the same
+analytic component block: no SpMV runs, nothing is refined, and the
+byte reduction is undefined (recorded as null).  The fp16 "cliff" the
+dblp band was set for (ari_vs_exact ~0.14) came from the solver picking
+an arbitrary basis of the repeated eigenvalue 1, not from fp16 itself.
 """
 
 import numpy as np
@@ -64,7 +68,7 @@ ARI_VS_EXACT_BANDS = {
 }
 
 #: the acceptance bar: fp32 storage must cut modeled SpMV byte traffic by
-#: at least this factor on EVERY bench dataset
+#: at least this factor on every bench dataset whose fp64 solve moves any
 MIN_FP32_BYTE_REDUCTION = 1.5
 
 
@@ -122,7 +126,11 @@ def precision_ablation_summary() -> dict:
                 "spmv_bytes": stats["spmv_bytes"],
                 "spmv_kernel_s": stats["spmv_kernel_s"],
                 "communication_s": res.profile.communication,
-                "byte_reduction_vs_fp64": b64 / stats["spmv_bytes"],
+                # undefined when the fp64 solve moved no SpMV bytes (the
+                # graph's components answered it analytically)
+                "byte_reduction_vs_fp64": (
+                    b64 / stats["spmv_bytes"] if b64 else None
+                ),
                 "ari": (
                     adjusted_rand_index(res.labels, ds.labels)
                     if ds.labels is not None
@@ -167,15 +175,18 @@ def test_precision_ablation_report(summary, write_table):
                 else "-"
             )
             ari = f"{c['ari']:.3f}" if c["ari"] is not None else "-"
+            red = c["byte_reduction_vs_fp64"]
+            red = f"{red:.2f}x" if red is not None else "-"
             lines.append(
                 f"{name:<9}{cell:<14}{c['spmv_bytes']:>13,.0f}"
-                f"{c['byte_reduction_vs_fp64']:>9.2f}x"
+                f"{red:>10}"
                 f"{ari:>7}{c['ari_vs_exact']:>9.3f}{rres:>12}"
             )
     lines.append(
         f"fp64 bit-identical: {summary['fp64_bit_identical']}  |  "
         f"fp32 byte-reduction bar: "
-        f">={summary['min_fp32_byte_reduction']}x on every dataset"
+        f">={summary['min_fp32_byte_reduction']}x on every dataset that "
+        f"moves SpMV bytes"
     )
     write_table("precision_ablation", "\n".join(lines))
 
@@ -195,6 +206,11 @@ def test_reduced_cells_inside_tolerance_bands(summary):
                 f"{name} {precision}: ari_vs_exact {c['ari_vs_exact']:.3f}"
                 f" below band {band}"
             )
+            if c["spmv_bytes"] == 0:
+                # the analytic component block: exact, nothing to refine
+                assert c["refine_residual"] is None
+                assert c["refine_steps"] == 0
+                continue
             assert c["refine_residual"] is not None
             assert c["refine_residual"] <= TOL_FLOORS[precision], (
                 f"{name} {precision}: refined residual "
@@ -206,16 +222,27 @@ def test_reduced_cells_inside_tolerance_bands(summary):
 
 def test_fp32_byte_reduction_clears_bar(summary):
     """The acceptance criterion: fp32 cuts modeled SpMV byte traffic by
-    >= 1.5x vs fp64 on ALL FOUR datasets while staying inside its band."""
+    >= 1.5x vs fp64 on every dataset whose fp64 solve moves SpMV bytes,
+    while staying inside its band."""
+    gated = 0
     for name, wl in summary["datasets"].items():
         red = wl["cells"]["fp32_lanczos"]["byte_reduction_vs_fp64"]
+        if wl["cells"]["fp64_lanczos"]["spmv_bytes"] == 0:
+            assert red is None, name
+            continue
+        gated += 1
         assert red >= summary["min_fp32_byte_reduction"], (
             f"{name}: fp32 byte reduction {red:.3f}x below "
             f"{summary['min_fp32_byte_reduction']}x bar"
         )
+    assert gated >= 3
 
 
 def test_byte_traffic_orders_with_storage_width(summary):
     for name, wl in summary["datasets"].items():
         b = {c: wl["cells"][c]["spmv_bytes"] for c in wl["cells"]}
+        if b["fp64_lanczos"] == 0:
+            # the analytic component block: no Lanczos cell moves a byte
+            assert b["fp32_lanczos"] == b["fp16_lanczos"] == 0, name
+            continue
         assert b["fp64_lanczos"] > b["fp32_lanczos"] > b["fp16_lanczos"] > 0

@@ -118,10 +118,9 @@ def test_emit_machine_readable_summary(comparison):
     prec = written["precision_ablation"]
     assert prec["fp64_bit_identical"] is True
     for wl in prec["datasets"].values():
-        assert (
-            wl["cells"]["fp32_lanczos"]["byte_reduction_vs_fp64"]
-            >= prec["min_fp32_byte_reduction"]
-        )
+        red = wl["cells"]["fp32_lanczos"]["byte_reduction_vs_fp64"]
+        # null where the fp64 solve moved no SpMV bytes (analytic block)
+        assert red is None or red >= prec["min_fp32_byte_reduction"]
     comp = written["compressive_ablation"]
     assert comp["fp32_ledger_ok"] is True
     assert comp["large"]["n"] >= comp["large"]["min_n"]

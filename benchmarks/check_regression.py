@@ -340,8 +340,8 @@ def _compare_precision_ablation(
     every reduced Lanczos cell stays inside its tolerance band (ARI vs
     the exact labels >= the per-dataset band, refined residual <= the
     precision's floor), fp32 keeps its >=1.5x byte-traffic win on every
-    dataset, and no cell's modeled byte traffic creeps past the
-    tolerance."""
+    dataset whose fp64 solve moves SpMV bytes, and no cell's modeled byte
+    traffic creeps past the tolerance."""
     failures: list[str] = []
     base = baseline.get("precision_ablation")
     cur = current.get("precision_ablation")
@@ -397,10 +397,19 @@ def _compare_precision_ablation(
                     f"refined residual {rres:.3g} above floor {floor}"
                 )
         fp32 = cur_wl.get("cells", {}).get("fp32_lanczos")
-        if fp32 is not None and fp32["byte_reduction_vs_fp64"] < min_red:
+        # a null reduction means the fp64 solve moved no SpMV bytes (the
+        # graph's components answered it analytically): nothing to reduce
+        red = fp32.get("byte_reduction_vs_fp64") if fp32 is not None else None
+        fp64 = cur_wl.get("cells", {}).get("fp64_lanczos") or {}
+        if fp32 is not None and red is None and fp64.get("spmv_bytes"):
+            failures.append(
+                f"precision_ablation.{name}: fp32 byte reduction is null "
+                "although the fp64 solve moves SpMV bytes"
+            )
+        if red is not None and red < min_red:
             failures.append(
                 f"precision_ablation.{name}: fp32 byte reduction "
-                f"{fp32['byte_reduction_vs_fp64']:.3f}x lost the "
+                f"{red:.3f}x lost the "
                 f">={min_red}x win over fp64"
             )
     return failures
@@ -551,10 +560,12 @@ def main(argv: list[str] | None = None) -> int:
             cells = precision["datasets"][name]["cells"]
             for cell in sorted(cells):
                 c = cells[cell]
+                red = c["byte_reduction_vs_fp64"]
+                red = f"{red:.2f}x" if red is not None else "no SpMV"
                 print(
                     f"precision {name:8s} {cell:13s} "
                     f"{c['spmv_bytes']:.6g} B "
-                    f"({c['byte_reduction_vs_fp64']:.2f}x, "
+                    f"({red}, "
                     f"ari_vs_exact {c['ari_vs_exact']:.3f})  ok"
                 )
     compressive = current.get("compressive_ablation")

@@ -47,6 +47,11 @@ def format_paper_check(r: ComparisonResult) -> str:
     lines = [
         f"paper-scale projection for {r.dataset!r} "
         f"(n={r.n} scaled run drove the iteration counts)",
+        f"{r.counters.get('n_restarts')} restarts (from the "
+        f"{r.counters.get('restarts_source', 'scaled fit')}), Lloyd "
+        f"iterations cuda/matlab/python {r.counters.get('cuda_kmeans_iters')}/"
+        f"{r.counters.get('matlab_kmeans_iters')}/"
+        f"{r.counters.get('python_kmeans_iters')} (from the scaled fit)",
         f"{'stage':<14}{'column':<10}{'paper/s':>12}{'projected/s':>14}{'ratio':>8}",
         "-" * 58,
     ]

@@ -25,8 +25,12 @@ from repro.baselines.matlab_like import run_matlab_like
 from repro.baselines.python_like import run_python_like
 from repro.bench.paperdata import PAPER_TABLES, TABLE_OF_DATASET
 from repro.core.pipeline import SpectralClustering
+from repro.core.workflow import hybrid_eigensolver
 from repro.cuda.device import Device
+from repro.cusparse.matrices import coo_to_device
 from repro.datasets.registry import PAPER_STATS, load_dataset
+from repro.graph.components import connected_components, induced_subgraph
+from repro.graph.laplacian import device_sym_normalize
 from repro.hw.costmodel import CPUCostModel, GPUCostModel, TransferCostModel
 from repro.hw.spec import K20C, PCIE_X16_GEN2, XEON_E5_2690
 from repro.metrics.external import adjusted_rand_index
@@ -123,6 +127,15 @@ def run_comparison(
         matlab_kmeans_iters=mat.result.kmeans.n_iter,
         python_kmeans_iters=py.result.kmeans.n_iter,
     )
+    if res.eig_stats.get("n_locked", 0) and not point_input:
+        # the disconnected stand-in's fit locked its components' analytic
+        # eigenvectors and restarted less (or not at all); the paper's
+        # graph is one component, so the projection restarts as the
+        # plain solve of the stand-in's largest component does
+        counters["n_restarts"], n_lcc = _largest_component_restarts(
+            ds.graph, ds.n_clusters, eig_tol, seed
+        )
+        counters["restarts_source"] = f"largest component (n={n_lcc})"
     out = ComparisonResult(
         dataset=name,
         scale=scale,
@@ -139,6 +152,20 @@ def run_comparison(
     if project:
         out.projection = project_paper_scale(name, counters)
     return out
+
+
+def _largest_component_restarts(graph, k: int, eig_tol: float, seed):
+    """``(IRLM restarts, nodes)`` of one hybrid solve of ``graph``'s
+    largest connected component with the fit's defaults."""
+    _, comp = connected_components(graph)
+    nodes = np.flatnonzero(comp == np.argmax(np.bincount(comp)))
+    sub = induced_subgraph(graph, nodes)
+    device = Device()
+    op = device_sym_normalize(
+        coo_to_device(device, sub.to_coo().sorted_by_row())
+    )
+    _, _, stats = hybrid_eigensolver(device, op, k=k, tol=eig_tol, seed=seed)
+    return stats.n_restarts, int(nodes.size)
 
 
 def _cuda_eigensolver_projection(
@@ -208,7 +235,9 @@ def project_paper_scale(name: str, counters: dict) -> dict:
     """Evaluate all cost models at the paper's Table II workload.
 
     Restart counts and Lloyd iteration counts are carried over from the
-    measured scaled run; ``n_op`` is recomputed from the paper-scale basis
+    measured scaled run (restarts from its largest component when the
+    stand-in is disconnected, see ``counters["restarts_source"]``);
+    ``n_op`` is recomputed from the paper-scale basis
     size via the IRAM schedule ``n_op = m + restarts · (m - k)``.
     """
     stats = PAPER_STATS[name]

@@ -72,7 +72,7 @@ from repro.cusparse.matrices import coo_to_device, csr_to_device
 from repro.cusparse.partition import partition_csr
 from repro.errors import ChaosError, ClusteringError, CudaError, DeviceMemoryError
 from repro.graph.build import build_similarity_device, build_similarity_graph
-from repro.graph.components import remove_isolated
+from repro.graph.components import component_block, csr_components, remove_isolated
 from repro.graph.laplacian import (
     degrees,
     device_rw_normalize,
@@ -81,7 +81,8 @@ from repro.graph.laplacian import (
     rw_normalized_adjacency,
     sym_normalized_adjacency,
 )
-from repro.hw.costmodel import TransferCostModel
+from repro.hw.costmodel import CPUCostModel, TransferCostModel
+from repro.hw.spec import XEON_E5_2690
 from repro.hw.topology import paper_topology
 from repro.kmeans.cpu import kmeans_cpu
 from repro.kmeans.gpu import kmeans_device
@@ -196,6 +197,24 @@ class _ComposedPlan:
         if self.plan is not None:
             self.plan.free()
             self.plan = None
+
+
+def _label_components(device, dcsr, start: float) -> tuple[int, np.ndarray]:
+    """Label the connected components of the operator's graph.
+
+    The labelling is one sparse sweep over the edges, charged like a
+    host CSR SpMV on all cores and laid on the timeline from ``start``.
+    The operator stage passes the start of Algorithm 2: the host holds
+    the graph it uploaded and waits while the device builds the
+    Laplacian, so only what outlasts those kernels reaches the clock.
+    """
+    cpu = CPUCostModel(XEON_E5_2690)
+    device.charge_cpu_at(
+        "components[label]",
+        cpu.spmv_time(dcsr.shape[0], dcsr.nnz, threads=cpu.cpu.cores),
+        start,
+    )
+    return csr_components(dcsr.indptr.data, dcsr.indices.data)
 
 
 def _fresh_rec() -> dict:
@@ -510,13 +529,13 @@ class SpectralClustering:
                 raise ClusteringError(
                     f"only {n} non-isolated nodes for k={cfg.n_clusters} clusters"
                 )
-            dcsr, shift, deg_kept = self._operator_stage(
+            dcsr, shift, deg_kept, components = self._operator_stage(
                 device, policy, dcoo, timings, resilience
             )
             dcoo.free()
             theta, embedding, stats = self._eigensolver_stage(
                 device, policy, dcsr, shift, deg_kept, timings, resilience,
-                composed=composed,
+                composed=composed, components=components,
             )
         finally:
             # a fault that escapes resilience must not leak the operator
@@ -635,7 +654,12 @@ class SpectralClustering:
 
     def _operator_stage(self, device, policy, dcoo, timings, resilience):
         """Stage 2 (Algorithm 2): normalized operator in device CSR;
-        returns ``(device CSR, shift, kept-degree vector)``."""
+        returns ``(device CSR, shift, kept-degree vector, components)``.
+
+        ``components`` is ``(n_components, labels)`` of the graph, which
+        the host labels while the device runs Algorithm 2
+        (:func:`_label_components`) — for the Lanczos embedding only, the
+        one that uses them (None otherwise)."""
         cfg = self.config
         t0 = time.perf_counter()
         lap_start = device.elapsed
@@ -683,14 +707,19 @@ class SpectralClustering:
         (dcsr, shift), rec = _run_resilient(
             device, policy, "laplacian", [lap_gpu], lap_cpu
         )
+        components = None
+        if cfg.embedding == "lanczos":
+            with device.stage("laplacian"):
+                components = _label_components(device, dcsr, lap_start)
         _note(resilience, "laplacian", rec)
         timings.wall["laplacian"] = time.perf_counter() - t0
         timings.simulated["laplacian"] = device.elapsed - lap_start
-        return dcsr, shift, deg_kept
+        return dcsr, shift, deg_kept, components
 
     def _eigensolver_stage(
         self, device, policy, dcsr, shift, deg_kept, timings, resilience,
         free_operator: bool = True, composed: _ComposedPlan | None = None,
+        components: tuple[int, np.ndarray] | None = None,
     ):
         """Stage 3 (Algorithm 3): k leading eigenpairs + back-mapping;
         returns ``(eigenvalues, embedding, stats)``.
@@ -701,7 +730,10 @@ class SpectralClustering:
         the one-time row partition is built here (charged into the
         eigensolver window), the solve reuses it, and the Ritz block
         stays sharded on the devices (result D2H elided) for the
-        composed k-means stage.
+        composed k-means stage.  ``components`` (from
+        :meth:`_operator_stage`) lets the Lanczos solve lock the analytic
+        eigenvectors of a disconnected graph (:meth:`_component_block`);
+        without them the Lanczos solve labels the graph itself.
         """
         cfg = self.config
         t0 = time.perf_counter()
@@ -747,6 +779,18 @@ class SpectralClustering:
             timings.wall["eigensolver"] = time.perf_counter() - t0
             timings.simulated["eigensolver"] = device.elapsed - eig_start
             return theta, embedding, stats
+        locked, locked_value = None, 1.0
+        if cfg.embedding == "lanczos":
+            if components is None:
+                # an operator built for another embedding (a served batch
+                # led by one): label now, on the critical path
+                with device.stage("eigensolver"):
+                    components = _label_components(
+                        device, dcsr, device.elapsed
+                    )
+            locked, locked_value = self._component_block(
+                device, components, shift, deg_kept
+            )
         if composed is not None:
             # the fit's single partitioning point: build the plan on the
             # device group once, inside the eigensolver timing window
@@ -770,6 +814,7 @@ class SpectralClustering:
             plan=composed.plan if composed is not None else None,
             topology=composed.topology if composed is not None else None,
             elide_result_d2h=composed is not None,
+            locked=locked, locked_value=locked_value,
         )
         _note(resilience, "eigensolver", {
             "retries": stats.spmv_retries,
@@ -779,14 +824,15 @@ class SpectralClustering:
         })
         if free_operator:
             dcsr.free()
+        # descending, with ties (a locked component block) kept in the
+        # block's canonical order
+        order = np.argsort(-theta, kind="stable")
         if cfg.objective == "ratiocut":
             # top of cI - L == bottom of L: report λ(L) ascending
-            order = np.argsort(theta)[::-1]
             theta = shift - theta[order]
             U = U[:, order]
         else:
             # largest k eigenvalues of D^{-1}W == smallest of L_n (§IV.B)
-            order = np.argsort(theta)[::-1]
             theta = theta[order]
             U = U[:, order]
             if cfg.operator == "sym":
@@ -817,6 +863,39 @@ class SpectralClustering:
         timings.wall["eigensolver"] = time.perf_counter() - t0
         timings.simulated["eigensolver"] = device.elapsed - eig_start
         return theta, embedding, stats
+
+    def _component_block(self, device, components, shift, deg_kept):
+        """The analytic top eigenvectors of a disconnected graph's
+        operator; returns ``(block or None, their eigenvalue)``.
+
+        A connected graph (``c <= 1``) returns no block, so its solve is
+        the plain IRLM bit for bit.  At most ``k`` columns are formed
+        (with ``c >= k`` they are the whole answer), charged to the CPU
+        model as one pass over the block.
+        """
+        cfg = self.config
+        n_comp, labels = components
+        if n_comp <= 1:
+            return None, 1.0
+        n = labels.size
+        with device.stage("eigensolver"):
+            if cfg.objective == "ratiocut":
+                # (cI - L) 1_C = c 1_C
+                weights, value = np.ones(n), shift
+            elif cfg.operator == "sym":
+                # D^{-1/2} W D^{-1/2} (D^{1/2} 1_C) = D^{1/2} 1_C
+                weights, value = np.sqrt(deg_kept), 1.0
+            else:
+                # D^{-1} W 1_C = 1_C
+                weights, value = np.ones(n), 1.0
+            block = component_block(
+                labels, n_comp, weights, n_cols=cfg.n_clusters
+            )
+            device.charge_cpu(
+                "components[block]",
+                CPUCostModel(XEON_E5_2690).blas1_time(8.0 * block.size),
+            )
+        return block, value
 
     def _kmeans_stage(
         self, device, policy, embedding, timings, resilience,

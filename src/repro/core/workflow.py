@@ -129,6 +129,9 @@ class EigStats:
     spmv_bytes: float = 0.0
     #: summed simulated seconds of the SpMV/SpMM kernels themselves
     spmv_kernel_s: float = 0.0
+    #: leading pairs taken from a locked analytic block instead of the
+    #: IRLM (the connected components' eigenvectors; 0 = none locked)
+    n_locked: int = 0
 
     def as_dict(self) -> dict:
         return dict(
@@ -162,6 +165,7 @@ class EigStats:
             refine_history=self.refine_history,
             spmv_bytes=self.spmv_bytes,
             spmv_kernel_s=self.spmv_kernel_s,
+            n_locked=self.n_locked,
         )
 
 
@@ -394,6 +398,8 @@ def hybrid_eigensolver(
     plan: PartitionedCSR | None = None,
     topology: PCIeTopology | None = None,
     elide_result_d2h: bool = False,
+    locked: np.ndarray | None = None,
+    locked_value: float = 1.0,
 ) -> tuple[np.ndarray, np.ndarray, EigStats]:
     """Algorithm 3: the reverse-communication loop with GPU SpMV.
 
@@ -492,11 +498,25 @@ def hybrid_eigensolver(
         down (composed fits hand the shards straight to multi-device
         k-means; the elided bytes are metered like the device-resident
         loop's elided round trips).
+    locked, locked_value:
+        ``(n, c)`` orthonormal columns spanning a known invariant block of
+        ``A`` whose eigenvalue, ``locked_value``, is the top of the
+        spectrum — the connected components' analytic eigenvectors
+        (:func:`~repro.graph.components.component_block`).  With
+        ``c >= k`` the answer is the first ``k`` columns and no operator
+        application runs.  Otherwise the IRLM solves for the other
+        ``k - c`` pairs in the block's orthogonal complement: the start
+        vector is projected off it, every DGKS pass orthogonalizes
+        against it (the charged reorthogonalization sweeps widen by
+        ``c`` columns), and it uploads once next to the basis.  Requires
+        ``which="LA"`` and ``embedding="lanczos"``.
 
     Returns
     -------
     (theta, U, stats):
-        Eigenvalues ascending, eigenvector columns ``(n, k)``, counters.
+        Eigenvalues ascending and eigenvector columns ``(n, k)`` —
+        preceded by the locked block (``[block | IRLM pairs]``) when one
+        is given — plus counters.
     """
     if residency not in RESIDENCY_MODES:
         raise ValueError(
@@ -541,6 +561,29 @@ def hybrid_eigensolver(
         raise ValueError(
             f"embedding must be one of {EMBEDDING_MODES}, got {embedding!r}"
         )
+    n_locked = 0
+    if locked is not None:
+        if which != "LA" or embedding != "lanczos":
+            raise ValueError(
+                "a locked block needs which='LA' and embedding='lanczos'"
+            )
+        if locked.ndim != 2 or locked.shape[0] != A.shape[0]:
+            raise ValueError(
+                f"locked block has shape {locked.shape}, expected "
+                f"({A.shape[0]}, c)"
+            )
+        n_locked = min(int(locked.shape[1]), k)
+        locked = locked[:, :n_locked]
+        if n_locked == k:
+            return _locked_block_result(
+                device, locked, locked_value, policy=policy,
+                precision=precision, residency=residency,
+                n_devices=n_devices, plan=plan,
+                elide_result_d2h=elide_result_d2h,
+            )
+    k_solve = k - n_locked
+    # the IRLM works on rows; None keeps today's path untouched
+    locked_rows = locked.T.copy() if n_locked else None
     store_dtype = resolve_precision(precision)
     vs = store_dtype.itemsize
     refine_eff = (
@@ -564,8 +607,14 @@ def hybrid_eigensolver(
     n = A.shape[0]
     cpu = CPUCostModel(cpu_spec)
     t0 = time.perf_counter()
-    m_eff = int(m) if m is not None else min(n, max(2 * k + 1, 20))
-    j_avg = (k + m_eff) / 2.0
+    n_free = n - n_locked
+    if m is None:
+        m_eff = min(n_free, max(2 * k_solve + 1, 20))
+    else:
+        # an explicit basis size is bounded by the deflated dimension
+        m_eff = min(int(m), n_free) if n_locked else int(m)
+    # the reorthogonalization sweep also reads the locked columns
+    j_avg = (k_solve + m_eff) / 2.0 + n_locked
     rows_cache = np.repeat(np.arange(n, dtype=np.int64), np.diff(A.indptr.data))
     # reduced-precision solve operand: a device-side streaming cast of the
     # values (identity for fp64 — A_solve IS A and nothing is charged);
@@ -641,9 +690,10 @@ def hybrid_eigensolver(
                 restart_cb(r)
 
         return SymEigProblem(
-            n=n, k=k, which=which, m=m, tol=tol_eff, maxiter=maxiter,
-            seed=seed, v0=v0, checkpoint=latest_cp, checkpoint_cb=note_cp,
-            restart_cb=on_restart_boundary,
+            n=n, k=k_solve, which=which, m=m_eff, tol=tol_eff,
+            maxiter=maxiter, seed=seed, v0=v0, checkpoint=latest_cp,
+            checkpoint_cb=note_cp, restart_cb=on_restart_boundary,
+            locked=locked_rows,
         )
 
     # power-iteration parameters (fixed before format selection so the
@@ -724,9 +774,9 @@ def hybrid_eigensolver(
                                 ys_.append(
                                     group.add(dev.empty(nd, dtype=store_dtype))
                                 )
-                                group.add(
-                                    dev.empty((m_eff, nd), dtype=store_dtype)
-                                )  # basis block V_d
+                                group.add(dev.empty(
+                                    (m_eff + n_locked, nd), dtype=store_dtype
+                                ))  # basis block V_d (+ locked rows)
                         except BaseException:
                             group.free_all()
                             raise
@@ -750,7 +800,8 @@ def hybrid_eigensolver(
                         )
                     shard_upload_total += part.shard_upload_bytes
                     ledger_multi = TransferLedger(
-                        n=n, m=m_eff, k=k, itemsize=vs, n_devices=n_devices,
+                        n=n, m=m_eff, k=k_solve, itemsize=vs,
+                        n_devices=n_devices,
                         halo_counts=part.halo_counts,
                         halo_pairs=part.halo_pairs,
                         row_counts=row_counts,
@@ -761,6 +812,7 @@ def hybrid_eigensolver(
                     t_seed = device.timeline.clock.now
                     seed_parts = ledger.shard_split(
                         ledger.seed_h2d_bytes(latest_cp)
+                        + n * n_locked * vs  # the locked block's rows
                     )
                     for dev, nbytes in zip(all_devices, seed_parts):
                         if nbytes:
@@ -769,7 +821,7 @@ def hybrid_eigensolver(
                     def on_restart_multi(_r: int) -> None:
                         charge_restart_multi(
                             all_devices, cpu, copy_streams, row_counts,
-                            m_eff, k, itemsize=vs,
+                            m_eff, k_solve, itemsize=vs,
                         )
 
                     prob = make_prob(restart_cb=on_restart_multi)
@@ -812,9 +864,9 @@ def hybrid_eigensolver(
                         try:
                             wx = group.add(device.empty(n, dtype=store_dtype))
                             wy = group.add(device.empty(n, dtype=store_dtype))
-                            group.add(
-                                device.empty((m_eff, n), dtype=store_dtype)
-                            )  # basis V
+                            group.add(device.empty(
+                                (m_eff + n_locked, n), dtype=store_dtype
+                            ))  # basis V (+ locked rows)
                         except BaseException:
                             group.free_all()
                             raise
@@ -829,12 +881,17 @@ def hybrid_eigensolver(
                     materialize_op()
                     # seed the device state: v0 on a cold start, the kept
                     # factorization after a resume (the device lost it)
-                    ledger = TransferLedger(n=n, m=m_eff, k=k, itemsize=vs)
-                    device._record_h2d(ledger.seed_h2d_bytes(latest_cp))
+                    ledger = TransferLedger(
+                        n=n, m=m_eff, k=k_solve, itemsize=vs
+                    )
+                    device._record_h2d(
+                        ledger.seed_h2d_bytes(latest_cp) + n * n_locked * vs
+                    )
 
                     def on_restart(_r: int) -> None:
                         charge_restart_device(
-                            device, cpu, copy_stream, n, m_eff, k, itemsize=vs
+                            device, cpu, copy_stream, n, m_eff, k_solve,
+                            itemsize=vs,
                         )
 
                     prob = make_prob(restart_cb=on_restart)
@@ -1234,9 +1291,11 @@ def hybrid_eigensolver(
                         for d, dev in enumerate(all_devices):
                             nd = row_counts[d]
                             dt = dev.cost.kernel_time(
-                                2.0 * nd * prob.m * k,
-                                (nd * prob.m + prob.m * k + 2.0 * nd * k)
-                                * float(vs),
+                                2.0 * nd * prob.m * k_solve,
+                                (
+                                    nd * prob.m + prob.m * k_solve
+                                    + 2.0 * nd * k_solve
+                                ) * float(vs),
                                 kind="dense",
                             )
                             tl.record_at(
@@ -1245,22 +1304,23 @@ def hybrid_eigensolver(
                             )
                             dev.kernel_launches += 1
                             if elide_result_d2h:
-                                dev.note_elided_transfer(1, nd * k * vs)
+                                dev.note_elided_transfer(1, nd * k_solve * vs)
                             else:
-                                dev._record_d2h_at(nd * k * vs, t_r + dt)
+                                dev._record_d2h_at(nd * k_solve * vs, t_r + dt)
                 else:
                     def assemble_ritz() -> None:
                         device.charge_kernel(
                             f"cublas{letter}gemm[ritz]",
-                            flops=2.0 * n * prob.m * k,
+                            flops=2.0 * n * prob.m * k_solve,
                             bytes_moved=(
-                                n * prob.m + prob.m * k + 2.0 * n * k
+                                n * prob.m + prob.m * k_solve
+                                + 2.0 * n * k_solve
                             ) * float(vs),
                             kind="dense",
                         )
                         device._record_d2h(
                             TransferLedger(
-                                n=n, m=prob.m, k=k, itemsize=vs
+                                n=n, m=prob.m, k=k_solve, itemsize=vs
                             ).result_d2h_bytes()
                         )
 
@@ -1270,8 +1330,8 @@ def hybrid_eigensolver(
                 )
             else:
                 for _ in range(res.n_restarts):
-                    charge_restart(device, cpu, n, prob.m, k)
-                charge_find_eigenvectors(device, cpu, n, prob.m, k)
+                    charge_restart(device, cpu, n, prob.m, k_solve)
+                charge_find_eigenvectors(device, cpu, n, prob.m, k_solve)
             n_op_total = res.n_op
             n_restarts_total = res.n_restarts
             n_reorth_total = res.n_reorth
@@ -1341,6 +1401,12 @@ def hybrid_eigensolver(
                 apply64, theta, U, steps=refine_eff, which=which,
                 target=refine_target,
             )
+        if n_locked:
+            # the block is exact: prepend it after the (IRLM-only) polish
+            theta = np.concatenate(
+                [np.full(n_locked, float(locked_value)), theta]
+            )
+            U = np.hstack([locked, U])
     wall = time.perf_counter() - t0
     if A_solve is not A:
         A_solve.free()
@@ -1411,8 +1477,54 @@ def hybrid_eigensolver(
             sum(d.spmv_traffic_bytes for d in all_devices) - traffic_before
         ),
         spmv_kernel_s=_sum_spmv_kernel_seconds(device, events_before),
+        n_locked=n_locked,
     )
     return theta, U, stats
+
+
+def _locked_block_result(
+    device: Device,
+    locked: np.ndarray,
+    value: float,
+    policy: ResiliencePolicy,
+    precision: str,
+    residency: str,
+    n_devices: int,
+    plan: PartitionedCSR | None,
+    elide_result_d2h: bool,
+) -> tuple[np.ndarray, np.ndarray, EigStats]:
+    """The ``c >= k`` solve: the top-k eigenpairs are the locked block.
+
+    No operator application, restart or reorthogonalization runs.  The
+    block already lives on the host (the caller formed it there), so the
+    single-device result needs no transfer; a composed fit that keeps the
+    embedding resident receives each device's row slice instead, one
+    concurrent upload per device.
+    """
+    t0 = time.perf_counter()
+    k = locked.shape[1]
+    scatter = plan is not None and elide_result_d2h
+    devices = [s.device for s in plan.shards] if scatter else [device]
+    before = _sum_transfer_stats(devices)
+    if scatter:
+
+        def scatter_block() -> None:
+            t_up = device.timeline.clock.now
+            for dev, nd in zip(devices, np.diff(plan.bounds)):
+                dev._record_h2d_at(int(nd) * k * 8, t_up)
+
+        with device.stage("eigensolver"):
+            with_retry(scatter_block, device, policy, site="eig.result")
+    after = _sum_transfer_stats(devices)
+    stats = EigStats(
+        n_op=0, n_restarts=0, n_reorth=0, converged=True, m=0, k=k,
+        pcie_round_trips=0, wall_seconds=time.perf_counter() - t0,
+        residency=residency, spmv_format="none",
+        bytes_h2d=after["bytes_h2d"] - before["bytes_h2d"],
+        bytes_d2h=after["bytes_d2h"] - before["bytes_d2h"],
+        n_devices=n_devices, precision=precision, n_locked=k,
+    )
+    return np.full(k, float(value)), locked.copy(), stats
 
 
 #: name fragments identifying SpMV/SpMM kernels on the timeline (any

@@ -378,6 +378,19 @@ class Device:
         self.timeline.record(name, "cpu", seconds)
         return seconds
 
+    def charge_cpu_at(self, name: str, seconds: float, start: float) -> float:
+        """Charge a host phase that ran concurrently with device work
+        already on the timeline, from the absolute ``start``.
+
+        Only the part that outlasts that work is recorded, so event
+        durations still sum to the clock.  Returns the recorded seconds.
+        """
+        now = self.timeline.clock.now
+        visible = seconds - max(0.0, min(start + seconds, now) - start)
+        if visible > 0.0:
+            self.timeline.record(name, "cpu", visible)
+        return visible
+
     @contextlib.contextmanager
     def stage(self, tag: str) -> Iterator[None]:
         """Tag all events recorded inside the block with a stage label."""

@@ -39,7 +39,9 @@ class SymEigProblem:
     every implicit restart *as it happens* (argument: the 1-based restart
     count) — device-resident drivers use it to charge the restart's
     tridiagonal solve and basis update inline, at the simulated instant the
-    host/device exchange actually occurs.
+    host/device exchange actually occurs.  ``locked`` (``(c, n)``
+    orthonormal rows) deflates a known invariant block: the problem then
+    solves for ``k`` pairs in its orthogonal complement.
     """
 
     def __init__(
@@ -56,11 +58,13 @@ class SymEigProblem:
         checkpoint: LanczosCheckpoint | None = None,
         checkpoint_cb: "Callable[[LanczosCheckpoint], None] | None" = None,
         restart_cb: "Callable[[int], None] | None" = None,
+        locked: np.ndarray | None = None,
     ) -> None:
         self.n = int(n)
         self.k = int(k)
         self.which = which
-        self.m = int(m) if m is not None else min(n, max(2 * k + 1, 20))
+        n_free = n - (0 if locked is None else np.shape(locked)[0])
+        self.m = int(m) if m is not None else min(n_free, max(2 * k + 1, 20))
         self._restart_cb = restart_cb
         self._cycles_seen = 0
         self._user_checkpoint_cb = checkpoint_cb
@@ -68,6 +72,7 @@ class SymEigProblem:
             n=n, k=k, which=which, m=m, tol=tol, maxiter=maxiter,
             v0=v0, seed=seed, dense_eig=dense_eig,
             checkpoint=checkpoint, checkpoint_cb=self._on_checkpoint,
+            locked=locked,
         )
         self._status = RCIStatus.INITIAL
         self._request: MatvecRequest | None = None

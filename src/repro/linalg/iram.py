@@ -26,6 +26,7 @@ from repro.linalg.lanczos import LanczosState, extend_factorization
 from repro.linalg.qr import implicit_qr_sweep
 from repro.linalg.rci import LanczosCheckpoint
 from repro.linalg.tridiag import eigh_tridiagonal
+from repro.linalg.utils import dgks_orthogonalize
 
 _EPS = np.finfo(np.float64).eps
 
@@ -94,6 +95,7 @@ def irlm_generator(
     dense_eig: str = "lapack",
     checkpoint: LanczosCheckpoint | None = None,
     checkpoint_cb: Callable[[LanczosCheckpoint], None] | None = None,
+    locked: np.ndarray | None = None,
 ) -> Generator[np.ndarray, np.ndarray, IRLMResult]:
     """Create the IRLM driver generator.
 
@@ -131,16 +133,31 @@ def irlm_generator(
         Called with a fresh snapshot at every restart boundary (including
         once before the first cycle).  Snapshots are defensive copies and
         may be stored across the generator's lifetime.
+    locked:
+        ``(c, n)`` orthonormal rows spanning an invariant subspace whose
+        eigenpairs are already known.  The start vector is projected off
+        it and every reorthogonalization pass keeps the basis in its
+        orthogonal complement, so the run solves the deflated operator of
+        dimension ``n - c`` for ``k`` further pairs (the caller prepends
+        the block).  ``m`` defaults and is bounded over ``n - c``.
     """
-    if not 0 < k < n:
-        raise EigensolverError(f"need 0 < k < n, got k={k}, n={n}")
+    if locked is not None:
+        locked = np.ascontiguousarray(locked, dtype=np.float64)
+        if locked.ndim != 2 or locked.shape[1] != n:
+            raise EigensolverError(
+                f"locked block has shape {locked.shape}, expected (c, {n})"
+            )
+    # dimension of the space the Krylov basis can span
+    n_free = n - (locked.shape[0] if locked is not None else 0)
+    if not 0 < k < n_free:
+        raise EigensolverError(f"need 0 < k < n, got k={k}, n={n_free}")
     if m is None:
-        m = min(n, max(2 * k + 1, 20))
+        m = min(n_free, max(2 * k + 1, 20))
     m = int(m)
     if m <= k:
         raise EigensolverError(f"basis size m={m} must exceed k={k}")
-    if m > n:
-        raise EigensolverError(f"basis size m={m} exceeds dimension n={n}")
+    if m > n_free:
+        raise EigensolverError(f"basis size m={m} exceeds dimension n={n_free}")
     if maxiter is None:
         maxiter = 300
     eff_tol = tol if tol > 0 else _EPS
@@ -167,6 +184,8 @@ def irlm_generator(
             state.f = v0.copy()
         else:
             state.f = rng.standard_normal(n)
+        if locked is not None:
+            state.f, _ = dgks_orthogonalize(locked, state.f)
         n_op = 0
         n_restarts = 0
     exhausted = n_restarts >= maxiter
@@ -194,7 +213,7 @@ def irlm_generator(
             checkpoint_cb(snapshot())
 
         # ---- extend the factorization to m steps -----------------------
-        ext = extend_factorization(state, m, rng)
+        ext = extend_factorization(state, m, rng, locked=locked)
         try:
             x = next(ext)
             while True:
@@ -215,7 +234,7 @@ def irlm_generator(
         conv_mask = bounds <= eff_tol * tol_scale
         nconv = int(np.count_nonzero(conv_mask))
 
-        if nconv >= k or m >= n or n_restarts >= maxiter or exhausted:
+        if nconv >= k or m >= n_free or n_restarts >= maxiter or exhausted:
             # assemble Ritz vectors X = Vᵀ S_wanted, ascending eigenvalues
             out_order = np.argsort(theta[wanted])
             sel = wanted[out_order]
@@ -227,7 +246,7 @@ def irlm_generator(
                 n_op=n_op,
                 n_restarts=n_restarts,
                 n_reorth=state.reorth_passes,
-                converged=bool(nconv >= k or m >= n),
+                converged=bool(nconv >= k or m >= n_free),
                 breakdowns=state.breakdowns,
             )
 

@@ -88,6 +88,7 @@ def extend_factorization(
     to_steps: int,
     rng: np.random.Generator,
     breakdown_tol: float = 0.0,
+    locked: np.ndarray | None = None,
 ) -> Generator[np.ndarray, np.ndarray, None]:
     """Grow the factorization to ``to_steps`` steps (a generator).
 
@@ -96,6 +97,11 @@ def extend_factorization(
     either ``state.j == 0`` (fresh start; ``state.f`` must hold the start
     vector) or a valid j-step factorization with residual ``state.f`` is
     present (post-restart continuation).
+
+    ``locked`` is an optional ``(c, n)`` block of known orthonormal
+    eigenvectors: every DGKS pass (and every breakdown restart vector) is
+    also orthogonalized against it, so the factorization lives in the
+    block's orthogonal complement and never rediscovers it.
     """
     n = state.n
     if to_steps > state.m_max:
@@ -119,7 +125,9 @@ def extend_factorization(
             if fnorm <= breakdown_tol * scale:
                 # exact breakdown: invariant subspace found; restart with a
                 # random direction orthogonal to everything so far.
-                state.V[j] = random_unit_vector(n, rng, orthogonal_to=state.V[:j])
+                state.V[j] = random_unit_vector(
+                    n, rng, orthogonal_to=state.V[:j], locked=locked
+                )
                 state.beta[j - 1] = 0.0
                 state.breakdowns += 1
             else:
@@ -137,7 +145,7 @@ def extend_factorization(
         if j > 0:
             w = w - state.beta[j - 1] * state.V[j - 1]
         # full reorthogonalization with DGKS refinement
-        w, h = dgks_orthogonalize(state.V[: j + 1], w)
+        w, h = dgks_orthogonalize(state.V[: j + 1], w, locked=locked)
         state.reorth_passes += 1
         a += float(h[j])
         if j > 0:

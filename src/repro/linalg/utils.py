@@ -10,6 +10,7 @@ def dgks_orthogonalize(
     w: np.ndarray,
     max_passes: int = 3,
     eta: float = 1.0 / np.sqrt(2.0),
+    locked: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Orthogonalize ``w`` against the rows of ``V`` with DGKS refinement.
 
@@ -24,6 +25,12 @@ def dgks_orthogonalize(
         ``(j, n)`` matrix with orthonormal rows.
     w:
         Vector to orthogonalize (modified copy returned).
+    locked:
+        Optional ``(c, n)`` orthonormal rows of a locked (already known)
+        invariant block: every pass also projects ``w`` off them, so the
+        vector stays in the block's orthogonal complement.  Their
+        coefficients are discarded — the block is not part of ``V``'s
+        factorization.
 
     Returns
     -------
@@ -34,10 +41,12 @@ def dgks_orthogonalize(
     """
     w = np.array(w, dtype=np.float64, copy=True)
     h_total = np.zeros(V.shape[0])
-    if V.shape[0] == 0:
+    if V.shape[0] == 0 and locked is None:
         return w, h_total
     for _ in range(max_passes):
         norm_before = np.linalg.norm(w)
+        if locked is not None:
+            w -= locked.T @ (locked @ w)
         h = V @ w
         w -= V.T @ h
         h_total += h
@@ -68,17 +77,21 @@ def normalize_rows(X: np.ndarray, eps: float = 0.0) -> np.ndarray:
 
 
 def random_unit_vector(
-    n: int, rng: np.random.Generator, orthogonal_to: np.ndarray | None = None
+    n: int,
+    rng: np.random.Generator,
+    orthogonal_to: np.ndarray | None = None,
+    locked: np.ndarray | None = None,
 ) -> np.ndarray:
     """A random unit vector, optionally orthogonalized against given rows.
 
     Used to restart the Lanczos process after exact breakdown (an invariant
-    subspace was found).
+    subspace was found); ``locked`` rows (see :func:`dgks_orthogonalize`)
+    are projected out too.
     """
     for _ in range(5):
         v = rng.standard_normal(n)
-        if orthogonal_to is not None and orthogonal_to.size:
-            v, _ = dgks_orthogonalize(orthogonal_to, v)
+        if orthogonal_to is not None:
+            v, _ = dgks_orthogonalize(orthogonal_to, v, locked=locked)
         norm = np.linalg.norm(v)
         if norm > 1e-10:
             return v / norm

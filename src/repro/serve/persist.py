@@ -47,9 +47,11 @@ from repro.cuda.profiler import ProfileReport
 from repro.errors import ClusteringError, ServiceError
 from repro.sparse.csr import CSRMatrix
 
-#: bump when the on-disk layout changes; readers treat any other value
-#: as a miss
-FORMAT_VERSION = 1
+#: bump when the on-disk layout changes, or when the arrays a key maps to
+#: change under the same key; readers treat any other value as a miss.
+#: 2: disconnected graphs take their components' analytic eigenvectors,
+#: so version-1 embeddings and models of such graphs are stale
+FORMAT_VERSION = 2
 
 _KIND_EMBEDDING = "embedding"
 _KIND_MODEL = "model"

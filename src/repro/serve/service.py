@@ -105,6 +105,9 @@ class _OperatorBuild:
     dcsr: object
     shift: float
     deg_kept: np.ndarray
+    #: (n_components, labels) of the graph when the leader's embedding
+    #: labels it (see SpectralClustering._operator_stage), else None
+    components: tuple | None
     kept: np.ndarray
     n_total: int
     timings: StageTimings
@@ -526,13 +529,14 @@ class ClusterService:
                 dev, policy, X, edges, graph, timings, resil
             )
             try:
-                dcsr, shift, deg_kept = est._operator_stage(
+                dcsr, shift, deg_kept, components = est._operator_stage(
                     dev, policy, dcoo, timings, resil
                 )
             finally:
                 dcoo.free()
             return _OperatorBuild(
-                dcsr=dcsr, shift=shift, deg_kept=deg_kept, kept=kept,
+                dcsr=dcsr, shift=shift, deg_kept=deg_kept,
+                components=components, kept=kept,
                 n_total=n_total, timings=timings, resilience=resil,
                 profile=prof.stop(),
             )
@@ -550,7 +554,7 @@ class ClusterService:
             resil: dict = {}
             theta, embedding, stats = est._eigensolver_stage(
                 dev, policy, op.dcsr, op.shift, op.deg_kept, timings, resil,
-                free_operator=False,
+                free_operator=False, components=op.components,
             )
             # fold the shared build into the group's embedding record so a
             # later cache hit reports the full provenance

@@ -24,6 +24,18 @@ class TestDeviceAccounting:
         device.charge_cpu("host work", 0.5)
         assert device.timeline.total("cpu") == pytest.approx(0.5)
 
+    def test_charge_cpu_at_records_only_the_part_past_the_clock(self, device):
+        t0 = device.elapsed
+        dt = device.charge_kernel("k", flops=1e9, bytes_moved=1e9)
+        # fully hidden under the kernel: nothing recorded, clock unmoved
+        assert device.charge_cpu_at("hidden", dt / 2, t0) == 0.0
+        assert device.timeline.count("cpu") == 0
+        assert device.elapsed == pytest.approx(t0 + dt)
+        # outlasts the kernel by dt: only that part is recorded
+        assert device.charge_cpu_at("tail", 2 * dt, t0) == pytest.approx(dt)
+        assert device.elapsed == pytest.approx(t0 + 2 * dt)
+        assert device.timeline.total() == pytest.approx(device.elapsed - t0)
+
     def test_stage_tags_nest_and_restore(self, device):
         with device.stage("outer"):
             device.charge_kernel("a", 0, 0)

@@ -54,6 +54,63 @@ class TestConnectedComponents:
         assert np.count_nonzero(np.abs(w) < 1e-9) == nc
 
 
+def _frontier_components(W):
+    """The earlier per-seed Python frontier BFS, kept as the reference
+    for the vectorized labelling (same first-seen label order)."""
+    csr = W.to_csr()
+    n = csr.shape[0]
+    labels = np.full(n, -1, dtype=np.int64)
+    comp = 0
+    for seed in range(n):
+        if labels[seed] != -1:
+            continue
+        labels[seed] = comp
+        frontier = np.array([seed], dtype=np.int64)
+        while frontier.size:
+            take = np.concatenate(
+                [csr.indices[s:e] for s, e in
+                 zip(csr.indptr[frontier], csr.indptr[frontier + 1])]
+            )
+            fresh = np.unique(take[labels[take] == -1])
+            if fresh.size == 0:
+                break
+            labels[fresh] = comp
+            frontier = fresh
+        comp += 1
+    return comp, labels
+
+
+class TestVectorizedLabelling:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_frontier_bfs(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(20, 300))
+        m = int(rng.integers(0, 2 * n))
+        edges = rng.integers(0, n, size=(m, 2))
+        edges = edges[edges[:, 0] != edges[:, 1]]
+        W = from_edge_list(edges, n_nodes=n)
+        nc, labels = connected_components(W)
+        ref_nc, ref_labels = _frontier_components(W)
+        assert nc == ref_nc
+        assert np.array_equal(labels, ref_labels)
+
+    def test_shuffled_path_is_one_component(self):
+        """A long path in random vertex order needs several hooking
+        rounds before every pointer reaches the smallest vertex."""
+        perm = np.random.default_rng(0).permutation(2000)
+        W = from_edge_list(np.column_stack([perm[:-1], perm[1:]]), n_nodes=2000)
+        nc, labels = connected_components(W)
+        assert nc == 1 and not labels.any()
+
+    def test_accepts_coo_and_csr(self):
+        W = from_edge_list(np.array([[3, 4], [0, 2]]), n_nodes=6)
+        a = connected_components(W)
+        b = connected_components(W.to_csr())
+        assert a[0] == b[0] == 4
+        assert np.array_equal(a[1], b[1])
+        assert a[1].tolist() == [0, 1, 0, 2, 2, 3]
+
+
 class TestRemoveIsolated:
     def test_noop_when_all_connected(self):
         W = from_edge_list(np.array([[0, 1], [1, 2]]), n_nodes=3)

@@ -7,7 +7,7 @@ from repro.core.result import EmbeddingResult, StageTimings
 from repro.cuda.profiler import ProfileReport
 from repro.errors import ServiceError
 from repro.serve.cache import EmbeddingCache
-from repro.serve.persist import PersistentStore, canonical_key
+from repro.serve.persist import FORMAT_VERSION, PersistentStore, canonical_key
 from repro.serve.service import ClusterService, ServiceConfig
 
 
@@ -297,6 +297,33 @@ class TestServiceWarmRestart:
         for a, b in zip(r1, r2):
             assert a.request_id == b.request_id
             assert a.ok and b.ok
+            assert np.array_equal(a.labels, b.labels)
+
+    def test_previous_format_entries_are_recomputed(
+        self, tmp_path, monkeypatch, make_request, make_predict
+    ):
+        """A store written by the previous format version is a counted
+        stale miss: the restarted service refits instead of serving it."""
+        trace = [
+            make_request(arrival=0.0, request_id="f0"),
+            make_predict(arrival=1.0, request_id="p0"),
+        ]
+        with monkeypatch.context() as mp:
+            mp.setattr("repro.serve.persist.FORMAT_VERSION", FORMAT_VERSION - 1)
+            old = ClusterService(self._config(tmp_path))
+            r_old, rep_old = old.process(trace)
+        assert rep_old.cache["disk_writes"] >= 2  # embedding + model
+
+        svc = ClusterService(self._config(tmp_path))
+        r_new, rep_new = svc.process(trace)
+        assert rep_new.cache["disk_hits"] == 0
+        assert svc.cache.store.stats.stale >= 2
+        names = [ev.name for ev in svc.scheduler.schedule]
+        assert any("eigensolve" in n or "coldfit" in n for n in names)
+        # recomputed entries are written back at the current version
+        assert rep_new.cache["disk_writes"] >= 2
+        assert all(r.ok for r in r_new)
+        for a, b in zip(r_old, r_new):
             assert np.array_equal(a.labels, b.labels)
 
     def test_mixed_fit_predict_eviction_under_persistence(
